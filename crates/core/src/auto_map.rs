@@ -14,10 +14,12 @@
 //! which is why Table III reports 100% throughput utilization for
 //! automorphism at every size.
 
+use crate::control::{AutomorphismControlTable, ShiftControls};
 use crate::stats::CycleStats;
-use crate::trace::{MemDir, TraceSink};
+use crate::trace::TraceSink;
 use crate::vpu::Vpu;
 use crate::CoreError;
+use std::sync::Arc;
 use uvpu_math::automorphism::{AffineMap, RowColumnDecomposition};
 use uvpu_math::MathError;
 
@@ -72,6 +74,11 @@ pub struct AutomorphismMapping {
     m: usize,
     map: AffineMap,
     decomposition: RowColumnDecomposition,
+    /// `controls[s]`: the merged control word of Eq (2) for a column
+    /// whose row shift is `s` — what the control SRAM's runtime merge
+    /// yields for `(g mod m, s)`, resolved once here. Shared, so cloning
+    /// a plan stays cheap.
+    controls: Arc<[ShiftControls]>,
 }
 
 impl AutomorphismMapping {
@@ -91,11 +98,16 @@ impl AutomorphismMapping {
         }
         let map = AffineMap::new(n, g, t)?;
         let decomposition = RowColumnDecomposition::new(map, m, n / m).map_err(CoreError::Math)?;
+        let table = AutomorphismControlTable::cached(m)?;
+        let controls = (0..m as u64)
+            .map(|shift| table.merged(g, shift))
+            .collect::<Result<_, _>>()?;
         Ok(Self {
             n,
             m,
             map,
             decomposition,
+            controls,
         })
     }
 
@@ -109,7 +121,7 @@ impl AutomorphismMapping {
     /// # Errors
     ///
     /// As [`AutomorphismMapping::new`]; failures are not cached.
-    pub fn cached(n: usize, m: usize, g: u64, t: u64) -> Result<std::sync::Arc<Self>, CoreError> {
+    pub fn cached(n: usize, m: usize, g: u64, t: u64) -> Result<Arc<Self>, CoreError> {
         static PLANS: uvpu_par::Memo<(usize, usize, u64, u64), AutomorphismMapping> =
             uvpu_par::Memo::new();
         PLANS.get_or_try_insert_with(&(n, m, g, t), || Self::new(n, m, g, t))
@@ -152,6 +164,26 @@ impl AutomorphismMapping {
         &self.decomposition
     }
 
+    /// Column `c` across the lanes (lane `r` holds element `r·C + c`)
+    /// makes its one traversal under the column's control word; `lanes`
+    /// carries it in and the routed column out.
+    fn route_column<S: TraceSink>(
+        &self,
+        vpu: &mut Vpu<S>,
+        input: &[u64],
+        c: usize,
+        lanes: &mut [u64],
+    ) -> Result<(), CoreError> {
+        let cols = self.n / self.m;
+        for (r, lane) in lanes.iter_mut().enumerate() {
+            *lane = input[r * cols + c];
+        }
+        vpu.load(0, lanes)?;
+        let shift = self.decomposition.column_shift(c) as usize;
+        vpu.route_shift(1, 0, &self.controls[shift])?;
+        vpu.store_into(1, lanes)
+    }
+
     /// Executes the automorphism: each of the `N/m` columns makes exactly
     /// one pass through the shift network with the merged control word of
     /// Eq (2), and lands at the Eq (3) target column.
@@ -176,52 +208,18 @@ impl AutomorphismMapping {
         vpu.ensure_depth(2);
         let start = *vpu.stats();
         vpu.span_begin("automorphism");
-        let cols = self.n / self.m;
+        let (m, cols) = (self.m, self.n / self.m);
         let mut output = vec![0u64; self.n];
-        // Parallel path: columns are independent single network passes,
-        // so workers route them on private scratch VPUs while the real
-        // VPU is charged analytically — per column a load, one
-        // network-move beat, and a store, in column order, so the traced
-        // event stream is bit-identical to the sequential loop's.
-        if uvpu_par::max_threads() > 1 && cols > 1 {
-            let modulus = vpu.modulus();
-            let routed_cols: Vec<Result<Vec<u64>, CoreError>> = uvpu_par::par_map_indexed_with(
-                cols,
-                || Vpu::new(self.m, modulus, 2),
-                |scratch, c| {
-                    let worker = scratch.as_mut().map_err(|e| e.clone())?;
-                    let column: Vec<u64> = (0..self.m).map(|r| input[r * cols + c]).collect();
-                    worker.load(0, &column)?;
-                    let row_map = self.decomposition.column_row_map(c);
-                    worker.automorphism_pass(1, 0, row_map.multiplier(), row_map.offset())?;
-                    worker.store(1)
-                },
-            );
-            for (c, routed) in routed_cols.into_iter().enumerate() {
-                let routed = routed?;
-                vpu.charge_mem(MemDir::Load, 0, self.m);
-                vpu.charge_network_moves(1);
-                vpu.charge_mem(MemDir::Store, 1, routed.len());
-                let target = self.decomposition.column_target(c);
-                for (r, &v) in routed.iter().enumerate() {
-                    output[r * cols + target] = v;
-                }
-            }
-        } else {
-            for c in 0..cols {
-                // Column c across the lanes: lane r holds element r·C + c.
-                let column: Vec<u64> = (0..self.m).map(|r| input[r * cols + c]).collect();
-                vpu.load(0, &column)?;
-                let row_map = self.decomposition.column_row_map(c);
-                vpu.automorphism_pass(1, 0, row_map.multiplier(), row_map.offset())?;
-                let routed = vpu.store(1)?;
-                // Eq (3): the whole column is stored to its target column.
-                let target = self.decomposition.column_target(c);
-                for (r, &v) in routed.iter().enumerate() {
-                    output[r * cols + target] = v;
-                }
+        let mut lanes = uvpu_math::pool::take_scratch(m);
+        for c in 0..cols {
+            self.route_column(vpu, input, c, &mut lanes)?;
+            // Eq (3): the whole column is stored to its target column.
+            let target = self.decomposition.column_target(c);
+            for (r, &v) in lanes.iter().enumerate() {
+                output[r * cols + target] = v;
             }
         }
+        uvpu_math::pool::recycle(lanes);
         vpu.span_end("automorphism");
         let stats = vpu.stats().delta(&start);
         Ok(AutomorphismExecution {
@@ -233,9 +231,57 @@ impl AutomorphismMapping {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use crate::ntt_map::oracle::probes;
+    use proptest::prelude::*;
     use uvpu_math::modular::Modulus;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+        #[test]
+        fn compiled_mapping_equals_per_column_control_merge(
+            log_m in 1u32..=6,
+            extra in 0u32..=12,
+            g in any::<u64>(),
+            t in any::<u64>(),
+        ) {
+            // The oracle: every column asks the control SRAM for its
+            // merged word at run time and crosses the public per-beat API.
+            let (m, n) = (1usize << log_m, 1usize << (log_m + extra));
+            let (g, t) = ((g % n as u64) | 1, t % n as u64);
+            let q = Modulus::new(0x0fff_ffff_fffc_0001).unwrap();
+            let plan = AutomorphismMapping::new(n, m, g, t).unwrap();
+            let input: Vec<u64> = (0..n as u64).map(|i| i * 7 + 1).collect();
+            let cols = n / m;
+
+            let expect_vpu = &mut probes(m, q, 1, 3 * cols + 2)[0];
+            expect_vpu.span_begin("automorphism");
+            let mut expect = vec![0u64; n];
+            for c in 0..cols {
+                let column: Vec<u64> = (0..m).map(|r| input[r * cols + c]).collect();
+                expect_vpu.load(0, &column).unwrap();
+                let row_map = plan.decomposition().column_row_map(c);
+                expect_vpu
+                    .automorphism_pass(1, 0, row_map.multiplier(), row_map.offset())
+                    .unwrap();
+                let target = plan.decomposition().column_target(c);
+                for (r, v) in expect_vpu.store(1).unwrap().into_iter().enumerate() {
+                    expect[r * cols + target] = v;
+                }
+            }
+            expect_vpu.span_end("automorphism");
+
+            let got_vpu = &mut probes(m, q, 1, 3 * cols + 2)[0];
+            let got = plan.execute(got_vpu, &input).unwrap();
+            prop_assert_eq!(&got.output, &expect);
+            prop_assert_eq!(&got.output, &plan.map().permute(&input));
+            prop_assert_eq!(got.stats, *expect_vpu.stats());
+            prop_assert_eq!(got_vpu.sink().0.events(), expect_vpu.sink().0.events());
+            prop_assert_eq!(&got_vpu.sink().1, &expect_vpu.sink().1);
+        }
+    }
 
     fn vpu(m: usize) -> Vpu {
         Vpu::new(m, Modulus::new(0x0fff_ffff_fffc_0001).unwrap(), 8).unwrap()

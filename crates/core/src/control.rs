@@ -216,14 +216,27 @@ impl AutomorphismControlTable {
         if !m.is_power_of_two() || m < 2 {
             return Err(CoreError::InvalidLaneCount { lanes: m });
         }
-        let words = (0..m / 2)
+        let words = (0..m as u64 / 2)
             .map(|k| {
-                let g = 2 * k as u64 + 1;
-                let map = AffineMap::automorphism(m, g).expect("odd multiplier");
-                ShiftControls::from_affine(&map)
+                Ok(ShiftControls::from_affine(&AffineMap::automorphism(
+                    m,
+                    2 * k + 1,
+                )?))
             })
-            .collect();
+            .collect::<Result<_, CoreError>>()?;
         Ok(Self { m, words })
+    }
+
+    /// The process-wide shared table for `m` lanes, built on first use —
+    /// its contents depend on `m` alone, so every `m`-lane VPU (and every
+    /// worker's scratch VPU) reads the same one.
+    ///
+    /// # Errors
+    ///
+    /// As [`AutomorphismControlTable::new`]; failures are not cached.
+    pub fn cached(m: usize) -> Result<std::sync::Arc<Self>, CoreError> {
+        static TABLES: uvpu_par::Memo<usize, AutomorphismControlTable> = uvpu_par::Memo::new();
+        TABLES.get_or_try_insert_with(&m, || Self::new(m))
     }
 
     /// Lane count.
@@ -270,6 +283,7 @@ impl AutomorphismControlTable {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 

@@ -417,6 +417,7 @@ impl Program {
 pub type _ControlWord = ShiftControls;
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use uvpu_math::modular::Modulus;

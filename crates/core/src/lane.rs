@@ -24,6 +24,18 @@ pub enum ButterflyKind {
     Dif,
 }
 
+/// `x mod q` for a word entering the lanes. Twiddles and simulator state
+/// are already in `[0, q)`, so the Barrett reduction is almost never
+/// taken.
+#[inline]
+fn reduce(q: &Modulus, x: u64) -> u64 {
+    if x < q.value() {
+        x
+    } else {
+        q.reduce_u64(x)
+    }
+}
+
 /// The register state and arithmetic units of `m` lanes.
 ///
 /// Registers are indexed by address; `read(addr)` returns the `m`-element
@@ -49,8 +61,8 @@ pub enum ButterflyKind {
 pub struct LaneArray {
     m: usize,
     modulus: Modulus,
-    /// `regs[addr][lane]`.
-    regs: Vec<Vec<u64>>,
+    /// Register `addr` occupies `regs[addr·m .. (addr + 1)·m]`.
+    regs: Vec<u64>,
 }
 
 impl LaneArray {
@@ -66,7 +78,7 @@ impl LaneArray {
         Ok(Self {
             m,
             modulus,
-            regs: vec![vec![0; m]; depth],
+            regs: vec![0; m * depth],
         })
     }
 
@@ -79,7 +91,7 @@ impl LaneArray {
     /// Register file depth.
     #[must_use]
     pub fn depth(&self) -> usize {
-        self.regs.len()
+        self.regs.len() / self.m
     }
 
     /// The lanes' modulus.
@@ -90,26 +102,26 @@ impl LaneArray {
 
     /// Grows the register file to at least `depth` entries.
     pub fn ensure_depth(&mut self, depth: usize) {
-        if self.regs.len() < depth {
-            self.regs.resize(depth, vec![0; self.m]);
+        if self.depth() < depth {
+            self.regs.resize(depth * self.m, 0);
         }
     }
 
     fn check_addr(&self, addr: usize) -> Result<(), CoreError> {
-        if addr >= self.regs.len() {
+        if addr >= self.depth() {
             return Err(CoreError::RegisterOutOfRange {
                 address: addr,
-                depth: self.regs.len(),
+                depth: self.depth(),
             });
         }
         Ok(())
     }
 
-    fn check_vec(&self, data: &[u64]) -> Result<(), CoreError> {
-        if data.len() != self.m {
+    fn check_len(&self, len: usize) -> Result<(), CoreError> {
+        if len != self.m {
             return Err(CoreError::LengthMismatch {
                 expected: self.m,
-                actual: data.len(),
+                actual: len,
             });
         }
         Ok(())
@@ -122,7 +134,7 @@ impl LaneArray {
     /// [`CoreError::RegisterOutOfRange`] for a bad address.
     pub fn read(&self, addr: usize) -> Result<&[u64], CoreError> {
         self.check_addr(addr)?;
-        Ok(&self.regs[addr])
+        Ok(&self.regs[addr * self.m..(addr + 1) * self.m])
     }
 
     /// Writes a vector to a register address (values must be reduced).
@@ -132,9 +144,25 @@ impl LaneArray {
     /// Bad address or wrong vector length.
     pub fn write(&mut self, addr: usize, data: &[u64]) -> Result<(), CoreError> {
         self.check_addr(addr)?;
-        self.check_vec(data)?;
+        self.check_len(data.len())?;
         debug_assert!(data.iter().all(|&x| x < self.modulus.value()));
-        self.regs[addr].copy_from_slice(data);
+        self.regs[addr * self.m..(addr + 1) * self.m].copy_from_slice(data);
+        Ok(())
+    }
+
+    /// [`write`](Self::write) for unreduced words: each is reduced modulo
+    /// `q` on its way into the register (the SRAM→VPU load interface).
+    ///
+    /// # Errors
+    ///
+    /// Bad address or wrong vector length.
+    pub(crate) fn write_reduced(&mut self, addr: usize, data: &[u64]) -> Result<(), CoreError> {
+        self.check_addr(addr)?;
+        self.check_len(data.len())?;
+        let q = self.modulus;
+        for (slot, &x) in self.regs[addr * self.m..].iter_mut().zip(data) {
+            *slot = reduce(&q, x);
+        }
         Ok(())
     }
 
@@ -147,18 +175,13 @@ impl LaneArray {
     ///
     /// Bad address in `addrs` or wrong vector length.
     pub fn write_per_lane(&mut self, addrs: &[usize], data: &[u64]) -> Result<(), CoreError> {
-        self.check_vec(data)?;
-        if addrs.len() != self.m {
-            return Err(CoreError::LengthMismatch {
-                expected: self.m,
-                actual: addrs.len(),
-            });
-        }
+        self.check_len(data.len())?;
+        self.check_len(addrs.len())?;
         for &a in addrs {
             self.check_addr(a)?;
         }
         for (l, (&a, &v)) in addrs.iter().zip(data).enumerate() {
-            self.regs[a][l] = v;
+            self.regs[a * self.m + l] = v;
         }
         Ok(())
     }
@@ -169,20 +192,55 @@ impl LaneArray {
     ///
     /// Bad address in `addrs`.
     pub fn read_per_lane(&self, addrs: &[usize]) -> Result<Vec<u64>, CoreError> {
-        if addrs.len() != self.m {
-            return Err(CoreError::LengthMismatch {
-                expected: self.m,
-                actual: addrs.len(),
-            });
-        }
+        let mut out = vec![0; self.m];
+        self.read_per_lane_into(addrs, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`read_per_lane`](Self::read_per_lane) into a caller-provided
+    /// lane-width buffer.
+    ///
+    /// # Errors
+    ///
+    /// Bad address in `addrs`, or `addrs`/`out` not lane-width.
+    pub(crate) fn read_per_lane_into(
+        &self,
+        addrs: &[usize],
+        out: &mut [u64],
+    ) -> Result<(), CoreError> {
+        self.check_len(addrs.len())?;
+        self.check_len(out.len())?;
         for &a in addrs {
             self.check_addr(a)?;
         }
-        Ok(addrs
-            .iter()
-            .enumerate()
-            .map(|(l, &a)| self.regs[a][l])
-            .collect())
+        for (l, (&a, o)) in addrs.iter().zip(out).enumerate() {
+            *o = self.regs[a * self.m + l];
+        }
+        Ok(())
+    }
+
+    /// `dst[l] ← op(a[l], b[l], dst[l])` in every lane, in place. Each
+    /// lane reads only its own slot, so `dst` may alias `a` or `b`.
+    fn ewise(
+        &mut self,
+        dst: usize,
+        a: usize,
+        b: usize,
+        op: impl Fn(&Modulus, u64, u64, u64) -> u64,
+    ) -> Result<(), CoreError> {
+        self.check_addr(dst)?;
+        self.check_addr(a)?;
+        self.check_addr(b)?;
+        let (m, q) = (self.m, self.modulus);
+        for l in 0..m {
+            let (x, y, acc) = (
+                self.regs[a * m + l],
+                self.regs[b * m + l],
+                self.regs[dst * m + l],
+            );
+            self.regs[dst * m + l] = op(&q, x, y, acc);
+        }
+        Ok(())
     }
 
     /// `dst ← a + b` element-wise.
@@ -191,15 +249,7 @@ impl LaneArray {
     ///
     /// Bad register address.
     pub fn ewise_add(&mut self, dst: usize, a: usize, b: usize) -> Result<(), CoreError> {
-        self.check_addr(dst)?;
-        self.check_addr(a)?;
-        self.check_addr(b)?;
-        let q = self.modulus;
-        let out: Vec<u64> = (0..self.m)
-            .map(|l| q.add(self.regs[a][l], self.regs[b][l]))
-            .collect();
-        self.regs[dst] = out;
-        Ok(())
+        self.ewise(dst, a, b, |q, x, y, _| q.add(x, y))
     }
 
     /// `dst ← a − b` element-wise.
@@ -208,15 +258,7 @@ impl LaneArray {
     ///
     /// Bad register address.
     pub fn ewise_sub(&mut self, dst: usize, a: usize, b: usize) -> Result<(), CoreError> {
-        self.check_addr(dst)?;
-        self.check_addr(a)?;
-        self.check_addr(b)?;
-        let q = self.modulus;
-        let out: Vec<u64> = (0..self.m)
-            .map(|l| q.sub(self.regs[a][l], self.regs[b][l]))
-            .collect();
-        self.regs[dst] = out;
-        Ok(())
+        self.ewise(dst, a, b, |q, x, y, _| q.sub(x, y))
     }
 
     /// `dst ← a · b` element-wise (Barrett multipliers, one per lane).
@@ -225,15 +267,7 @@ impl LaneArray {
     ///
     /// Bad register address.
     pub fn ewise_mul(&mut self, dst: usize, a: usize, b: usize) -> Result<(), CoreError> {
-        self.check_addr(dst)?;
-        self.check_addr(a)?;
-        self.check_addr(b)?;
-        let q = self.modulus;
-        let out: Vec<u64> = (0..self.m)
-            .map(|l| q.mul(self.regs[a][l], self.regs[b][l]))
-            .collect();
-        self.regs[dst] = out;
-        Ok(())
+        self.ewise(dst, a, b, |q, x, y, _| q.mul(x, y))
     }
 
     /// `dst ← dst + a · b` element-wise (multiply-accumulate, the
@@ -243,15 +277,7 @@ impl LaneArray {
     ///
     /// Bad register address.
     pub fn ewise_mac(&mut self, dst: usize, a: usize, b: usize) -> Result<(), CoreError> {
-        self.check_addr(dst)?;
-        self.check_addr(a)?;
-        self.check_addr(b)?;
-        let q = self.modulus;
-        let out: Vec<u64> = (0..self.m)
-            .map(|l| q.mul_add(self.regs[a][l], self.regs[b][l], self.regs[dst][l]))
-            .collect();
-        self.regs[dst] = out;
-        Ok(())
+        self.ewise(dst, a, b, |q, x, y, acc| q.mul_add(x, y, acc))
     }
 
     /// `dst ← src · consts` element-wise against an immediate constant
@@ -268,12 +294,12 @@ impl LaneArray {
     ) -> Result<(), CoreError> {
         self.check_addr(dst)?;
         self.check_addr(src)?;
-        self.check_vec(consts)?;
-        let q = self.modulus;
-        let out: Vec<u64> = (0..self.m)
-            .map(|l| q.mul(self.regs[src][l], q.reduce_u64(consts[l])))
-            .collect();
-        self.regs[dst] = out;
+        self.check_len(consts.len())?;
+        let (m, q) = (self.m, self.modulus);
+        self.regs.copy_within(src * m..(src + 1) * m, dst * m);
+        for (x, &c) in self.regs[dst * m..(dst + 1) * m].iter_mut().zip(consts) {
+            *x = q.mul(*x, reduce(&q, c));
+        }
         Ok(())
     }
 
@@ -297,26 +323,24 @@ impl LaneArray {
             });
         }
         let q = self.modulus;
-        let v = &mut self.regs[addr];
-        for (p, &w) in twiddles.iter().enumerate() {
-            let w = q.reduce_u64(w);
-            let u = v[2 * p];
-            let x = v[2 * p + 1];
-            let (hi, lo) = match kind {
+        let v = &mut self.regs[addr * self.m..(addr + 1) * self.m];
+        for (pair, &w) in v.chunks_exact_mut(2).zip(twiddles) {
+            let w = reduce(&q, w);
+            let (u, x) = (pair[0], pair[1]);
+            (pair[0], pair[1]) = match kind {
                 ButterflyKind::Dit => {
                     let wx = q.mul(w, x);
                     (q.add(u, wx), q.sub(u, wx))
                 }
                 ButterflyKind::Dif => (q.add(u, x), q.mul(q.sub(u, x), w)),
             };
-            v[2 * p] = hi;
-            v[2 * p + 1] = lo;
         }
         Ok(())
     }
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 

@@ -140,16 +140,6 @@ impl InterLaneNetwork {
         self.m - 1
     }
 
-    fn check_len(&self, len: usize) -> Result<(), CoreError> {
-        if len != self.m {
-            return Err(CoreError::LengthMismatch {
-                expected: self.m,
-                actual: len,
-            });
-        }
-        Ok(())
-    }
-
     /// Applies one CG stage.
     ///
     /// # Panics
@@ -157,26 +147,7 @@ impl InterLaneNetwork {
     /// Panics if `data.len() != m`.
     #[must_use]
     pub fn cg_pass<T: Copy>(&self, data: &[T], direction: CgDirection) -> Vec<T> {
-        self.check_len(data.len()).expect("lane-width vector");
-        let m = self.m;
-        let mut out = data.to_vec();
-        match direction {
-            CgDirection::Dif => {
-                // Perfect shuffle: lane i and lane i + m/2 become adjacent.
-                for i in 0..m / 2 {
-                    out[2 * i] = data[i];
-                    out[2 * i + 1] = data[i + m / 2];
-                }
-            }
-            CgDirection::Dit => {
-                // Inverse shuffle: adjacent pairs spread back out.
-                for i in 0..m / 2 {
-                    out[i] = data[2 * i];
-                    out[i + m / 2] = data[2 * i + 1];
-                }
-            }
-        }
-        out
+        self.cg_pass_grouped(data, direction, self.m)
     }
 
     /// Applies a grouped CG stage: the network splits into `m / group`
@@ -194,20 +165,50 @@ impl InterLaneNetwork {
         direction: CgDirection,
         group: usize,
     ) -> Vec<T> {
-        self.check_len(data.len()).expect("lane-width vector");
+        let mut out = data.to_vec();
+        self.cg_pass_grouped_into(data, direction, group, &mut out);
+        out
+    }
+
+    /// [`cg_pass_grouped`](Self::cg_pass_grouped) into a caller-provided
+    /// lane-width buffer (every slot of `out` is overwritten).
+    ///
+    /// # Panics
+    ///
+    /// As [`cg_pass_grouped`](Self::cg_pass_grouped), or if
+    /// `out.len() != m`.
+    pub fn cg_pass_grouped_into<T: Copy>(
+        &self,
+        data: &[T],
+        direction: CgDirection,
+        group: usize,
+        out: &mut [T],
+    ) {
+        assert_eq!(data.len(), self.m, "lane-width vector");
+        assert_eq!(out.len(), self.m, "lane-width output");
         assert!(
             group.is_power_of_two() && group >= 2 && group <= self.m,
             "group size {group} must be a power of two in [2, m]"
         );
-        let sub = InterLaneNetwork {
-            m: group,
-            log_m: log2_exact(group),
-        };
-        let mut out = Vec::with_capacity(self.m);
-        for block in data.chunks(group) {
-            out.extend(sub.cg_pass(block, direction));
+        let half = group / 2;
+        for (src, dst) in data.chunks_exact(group).zip(out.chunks_exact_mut(group)) {
+            match direction {
+                // Perfect shuffle: lane i and lane i + g/2 become adjacent.
+                CgDirection::Dif => {
+                    for i in 0..half {
+                        dst[2 * i] = src[i];
+                        dst[2 * i + 1] = src[i + half];
+                    }
+                }
+                // Inverse shuffle: adjacent pairs spread back out.
+                CgDirection::Dit => {
+                    for i in 0..half {
+                        dst[i] = src[2 * i];
+                        dst[i + half] = src[2 * i + 1];
+                    }
+                }
+            }
         }
-        out
     }
 
     /// Applies the shift stages under a control word: stage distance `m/2`
@@ -220,21 +221,38 @@ impl InterLaneNetwork {
     /// different lane count.
     #[must_use]
     pub fn shift_pass<T: Copy>(&self, data: &[T], controls: &ShiftControls) -> Vec<T> {
-        self.check_len(data.len()).expect("lane-width vector");
+        let mut out = data.to_vec();
+        self.shift_pass_in_place(&mut out, controls);
+        out
+    }
+
+    /// [`shift_pass`](Self::shift_pass) in place. A selected class at
+    /// distance `d` is the lanes `c, c + d, c + 2d, …`, each moving one
+    /// step along — a rotation of that class, which needs no second
+    /// buffer.
+    ///
+    /// # Panics
+    ///
+    /// As [`shift_pass`](Self::shift_pass).
+    pub fn shift_pass_in_place<T: Copy>(&self, data: &mut [T], controls: &ShiftControls) {
+        assert_eq!(data.len(), self.m, "lane-width vector");
         assert_eq!(controls.m(), self.m, "control word lane count mismatch");
         let m = self.m;
-        let mut cur = data.to_vec();
         for level in (0..controls.levels()).rev() {
             let d = 1usize << level;
-            let mut next = cur.clone();
-            for (i, &v) in cur.iter().enumerate() {
-                if controls.bit(level, i % d) {
-                    next[(i + d) % m] = v;
+            for (class, _) in controls
+                .level_bits(level)
+                .iter()
+                .enumerate()
+                .filter(|(_, &set)| set)
+            {
+                let wrapped = data[m - d + class];
+                for i in (class + d..m).step_by(d).rev() {
+                    data[i] = data[i - d];
                 }
+                data[class] = wrapped;
             }
-            cur = next;
         }
-        cur
     }
 
     /// Applies a full traversal (optional CG stage, then shift stages).
@@ -244,18 +262,36 @@ impl InterLaneNetwork {
     /// Panics if `data.len() != m`.
     #[must_use]
     pub fn traverse<T: Copy>(&self, data: &[T], pass: &NetworkPass) -> Vec<T> {
-        let mut cur = match pass.cg {
-            Some(dir) => self.cg_pass(data, dir),
-            None => data.to_vec(),
-        };
-        if let Some(controls) = &pass.shifts {
-            cur = self.shift_pass(&cur, controls);
+        let mut out = data.to_vec();
+        self.traverse_into(data, pass.cg, pass.shifts.as_ref(), &mut out);
+        out
+    }
+
+    /// [`traverse`](Self::traverse) into a caller-provided lane-width
+    /// buffer, with the pass given by its two halves.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data.len() != m` or `out.len() != m`.
+    pub(crate) fn traverse_into<T: Copy>(
+        &self,
+        data: &[T],
+        cg: Option<CgDirection>,
+        shifts: Option<&ShiftControls>,
+        out: &mut [T],
+    ) {
+        match cg {
+            Some(dir) => self.cg_pass_grouped_into(data, dir, self.m, out),
+            None => out.copy_from_slice(data),
         }
-        cur
+        if let Some(controls) = shifts {
+            self.shift_pass_in_place(out, controls);
+        }
     }
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use proptest::prelude::*;

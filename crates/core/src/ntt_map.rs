@@ -17,8 +17,8 @@ use crate::stats::CycleStats;
 use crate::trace::{EwiseOp, MemDir, TraceSink};
 use crate::vpu::{PeaseStage, Vpu};
 use crate::CoreError;
+use std::sync::Arc;
 use uvpu_math::modular::Modulus;
-use uvpu_math::ntt::psi_twist_inplace;
 use uvpu_math::primes::min_root_of_unity;
 use uvpu_math::util::{bit_reverse, log2_exact};
 use uvpu_math::MathError;
@@ -58,15 +58,21 @@ pub struct SmallNtt {
     log_len: u32,
     modulus: Modulus,
     omega: u64,
-    /// `fwd[s][j]` = ω^{(j >> s) << s} for butterfly `j` of stage `s`.
-    fwd: Vec<Vec<u64>>,
+    /// Lane count the stage tables below are laid out for.
+    lanes: usize,
+    /// Stage `s` is `fwd[s·lanes/2..][..lanes/2]`: ω^{(j >> s) << s} for
+    /// butterfly `j` of a group, repeated for each of the `lanes/L`
+    /// groups the CG network splits into.
+    fwd: Vec<u64>,
     /// Inverse twiddles (element-wise inverses of `fwd`).
-    inv: Vec<Vec<u64>>,
-    len_inv: u64,
+    inv: Vec<u64>,
+    /// `L⁻¹` in every lane (the fold closing the inverse transform).
+    scale: Vec<u64>,
 }
 
 impl SmallNtt {
-    /// Builds the plan for a cyclic NTT of power-of-two length `len ≥ 2`.
+    /// Builds the plan for a cyclic NTT of power-of-two length `len ≥ 2`
+    /// on a `len`-lane VPU.
     ///
     /// # Errors
     ///
@@ -79,21 +85,34 @@ impl SmallNtt {
             }));
         }
         let omega = min_root_of_unity(&modulus, len as u64)?;
-        Self::with_root(modulus, len, omega)
+        Self::with_root(modulus, len, omega, len)
     }
 
     /// Builds the plan with an explicitly chosen primitive `len`-th root —
     /// required when the small transform is one dimension of a larger
-    /// decomposition, whose twiddles fix `ω_len = ω^{N/len}`.
+    /// decomposition, whose twiddles fix `ω_len = ω^{N/len}` — for a
+    /// `lanes`-lane VPU (`lanes/len` lane groups transforming in
+    /// parallel). The stage tables are laid out for that width here, so
+    /// running the transform replays them without building anything.
     ///
     /// # Errors
     ///
-    /// [`CoreError::Math`] if `omega` is not a primitive `len`-th root.
-    pub fn with_root(modulus: Modulus, len: usize, omega: u64) -> Result<Self, CoreError> {
+    /// [`CoreError::Math`] if `omega` is not a primitive `len`-th root;
+    /// [`CoreError::UnsupportedSize`] unless `lanes` is a positive
+    /// multiple of `len`.
+    pub fn with_root(
+        modulus: Modulus,
+        len: usize,
+        omega: u64,
+        lanes: usize,
+    ) -> Result<Self, CoreError> {
         if !len.is_power_of_two() || len < 2 {
             return Err(CoreError::Math(MathError::LengthNotPowerOfTwo {
                 length: len,
             }));
+        }
+        if lanes == 0 || !lanes.is_multiple_of(len) {
+            return Err(CoreError::UnsupportedSize { size: len });
         }
         if modulus.pow(omega, len as u64) != 1
             || (len > 1 && modulus.pow(omega, len as u64 / 2) == 1)
@@ -103,29 +122,23 @@ impl SmallNtt {
                 order: len as u64,
             }));
         }
-        let omega_inv = modulus.inv(omega)?;
         let log_len = log2_exact(len);
-        let mut fwd = Vec::with_capacity(log_len as usize);
-        let mut inv = Vec::with_capacity(log_len as usize);
-        for s in 0..log_len {
-            let mut f = Vec::with_capacity(len / 2);
-            let mut g = Vec::with_capacity(len / 2);
-            for j in 0..len / 2 {
-                let e = ((j >> s) << s) as u64;
-                f.push(modulus.pow(omega, e));
-                g.push(modulus.pow(omega_inv, e));
-            }
-            fwd.push(f);
-            inv.push(g);
-        }
+        let stages = |root: u64| -> Vec<u64> {
+            let powers: Vec<u64> = powers(modulus, root, len / 2).collect();
+            (0..log_len)
+                .flat_map(|s| (0..lanes / 2).map(move |j| ((j % (len / 2)) >> s) << s))
+                .map(|e| powers[e])
+                .collect()
+        };
         Ok(Self {
             len,
             log_len,
             modulus,
             omega,
-            fwd,
-            inv,
-            len_inv: modulus.inv(len as u64)?,
+            lanes,
+            fwd: stages(omega),
+            inv: stages(modulus.inv(omega)?),
+            scale: vec![modulus.inv(len as u64)?; lanes],
         })
     }
 
@@ -159,6 +172,17 @@ impl SmallNtt {
         self.log_len
     }
 
+    /// Stage `s` of a stage table (`lanes/2` twiddles).
+    fn stage<'a>(&self, table: &'a [u64], s: usize) -> &'a [u64] {
+        &table[s * self.lanes / 2..(s + 1) * self.lanes / 2]
+    }
+
+    /// Stage `s` of a stage table, re-laid for `m` lanes.
+    fn stage_pool(&self, table: &[u64], s: usize, m: usize) -> Vec<u64> {
+        let group = &self.stage(table, s)[..self.len / 2];
+        group.iter().copied().cycle().take(m / 2).collect()
+    }
+
     /// Compiles the forward transform into a VPU assembly [`Program`]
     /// operating in place on register `addr` — the lane-resident NTT as
     /// an inspectable artifact (one `pease.fwd` instruction per stage,
@@ -179,7 +203,8 @@ impl SmallNtt {
         let mut prog = crate::isa::Program::new();
         for s in 0..self.log_len as usize {
             let pool = format!("tw{s}");
-            prog.pools.insert(pool.clone(), self.group_twiddles(s, m));
+            prog.pools
+                .insert(pool.clone(), self.stage_pool(&self.fwd, s, m));
             prog.instrs.push(crate::isa::Instr::PeaseForward {
                 addr,
                 pool,
@@ -208,14 +233,14 @@ impl SmallNtt {
         for s in (0..self.log_len as usize).rev() {
             let pool = format!("itw{s}");
             prog.pools
-                .insert(pool.clone(), self.group_twiddles_inv(s, m));
+                .insert(pool.clone(), self.stage_pool(&self.inv, s, m));
             prog.instrs.push(crate::isa::Instr::PeaseInverse {
                 addr,
                 pool,
                 group: self.len,
             });
         }
-        prog.pools.insert("linv".into(), vec![self.len_inv; m]);
+        prog.pools.insert("linv".into(), vec![self.scale[0]; m]);
         prog.instrs.push(crate::isa::Instr::MulConst {
             dst: addr,
             src: addr,
@@ -224,24 +249,12 @@ impl SmallNtt {
         prog
     }
 
-    fn group_twiddles(&self, stage: usize, m: usize) -> Vec<u64> {
-        // Replicate the per-group twiddles across the m/L independent
-        // groups the CG network splits into.
-        let per_group = &self.fwd[stage];
-        let mut out = Vec::with_capacity(m / 2);
-        for _ in 0..m / self.len {
-            out.extend_from_slice(per_group);
+    fn check_lanes<S: TraceSink>(&self, vpu: &Vpu<S>) -> Result<(), CoreError> {
+        if vpu.lanes() == self.lanes {
+            Ok(())
+        } else {
+            Err(CoreError::UnsupportedSize { size: self.len })
         }
-        out
-    }
-
-    fn group_twiddles_inv(&self, stage: usize, m: usize) -> Vec<u64> {
-        let per_group = &self.inv[stage];
-        let mut out = Vec::with_capacity(m / 2);
-        for _ in 0..m / self.len {
-            out.extend_from_slice(per_group);
-        }
-        out
     }
 
     /// Runs the forward transform on the register at `addr`, transforming
@@ -251,20 +264,17 @@ impl SmallNtt {
     ///
     /// # Errors
     ///
-    /// Register errors from the VPU, or a lane count not divisible into
-    /// groups of `L`.
+    /// Register errors from the VPU, or a lane count other than the one
+    /// the plan was built for.
     pub fn run_forward<S: TraceSink>(
         &self,
         vpu: &mut Vpu<S>,
         addr: usize,
     ) -> Result<(), CoreError> {
-        let m = vpu.lanes();
-        if !m.is_multiple_of(self.len) {
-            return Err(CoreError::UnsupportedSize { size: self.len });
-        }
+        self.check_lanes(vpu)?;
         for s in 0..self.log_len as usize {
-            let tw = self.group_twiddles(s, m);
-            vpu.pease_stage(addr, &PeaseStage::Forward { twiddles: &tw }, self.len)?;
+            let twiddles = self.stage(&self.fwd, s);
+            vpu.pease_stage(addr, &PeaseStage::Forward { twiddles }, self.len)?;
         }
         Ok(())
     }
@@ -281,18 +291,23 @@ impl SmallNtt {
         vpu: &mut Vpu<S>,
         addr: usize,
     ) -> Result<(), CoreError> {
-        let m = vpu.lanes();
-        if !m.is_multiple_of(self.len) {
-            return Err(CoreError::UnsupportedSize { size: self.len });
-        }
+        self.check_lanes(vpu)?;
         for s in (0..self.log_len as usize).rev() {
-            let tw = self.group_twiddles_inv(s, m);
-            vpu.pease_stage(addr, &PeaseStage::Inverse { twiddles: &tw }, self.len)?;
+            let twiddles = self.stage(&self.inv, s);
+            vpu.pease_stage(addr, &PeaseStage::Inverse { twiddles }, self.len)?;
         }
-        let scale = vec![self.len_inv; m];
-        vpu.ewise_mul_const(addr, addr, &scale)?;
-        Ok(())
+        vpu.ewise_mul_const(addr, addr, &self.scale)
     }
+}
+
+/// `root^0, root^1, …, root^{count − 1}`.
+fn powers(modulus: Modulus, root: u64, count: usize) -> impl Iterator<Item = u64> {
+    let mut acc = 1u64;
+    (0..count).map(move |_| {
+        let power = acc;
+        acc = modulus.mul(acc, root);
+        power
+    })
 }
 
 /// Direction of a planned transform execution.
@@ -325,6 +340,13 @@ pub struct NttExecution {
 ///    and the lane-resident Pease NTT stages (butterfly beats);
 /// 3. metadata readout — output ordering is address arithmetic, free.
 ///
+/// The plan is *compiled*: everything that depends only on `(q, N, m)` —
+/// stage twiddles laid out for `m` lanes, the ω-power table behind the
+/// twiddle and twist scalings — is resolved here, and all index maps are
+/// closed-form bit-field shuffles of the element code (every dimension
+/// is a power of two), so executing does only gathers, lane arithmetic,
+/// network routing and event emission.
+///
 /// # Example
 ///
 /// ```
@@ -350,14 +372,63 @@ pub struct NttPlan {
     n: usize,
     m: usize,
     dims: Vec<usize>,
+    /// `log₂` of each dimension: digit `s` of an element code occupies
+    /// `bits[s]` bits above those of the digits before it.
+    bits: Vec<u32>,
     modulus: Modulus,
     /// Primitive `n`-th root of unity for the inter-dimension twiddles.
     omega: u64,
-    omega_inv: u64,
+    /// `ω^e` for `e ∈ [0, n/2)` (see [`Self::omega_pow`]). Shared, so
+    /// cloning a plan stays cheap.
+    omega_pows: Arc<[u64]>,
+    /// Per-dimension small transforms, laid out for `m` lanes.
     small: Vec<SmallNtt>,
-    /// ψ (primitive `2n`-th root) for the negacyclic twist, if available.
-    psi: Option<u64>,
+    /// `(ψ, ψ⁻¹)`, ψ the primitive `2n`-th root of the negacyclic twist,
+    /// if the modulus has one.
+    psi: Option<(u64, u64)>,
+    /// The lane-width all-ones immediate of the charged scaling beats.
+    ones: Vec<u64>,
+    /// `bit_reverse(p, log₂ m)` for `p < m`; a `b`-bit reversal is the
+    /// top `b` bits of it.
+    brv: Vec<usize>,
 }
+
+/// Where dimension `t` sits while it occupies the lanes.
+///
+/// Lanes: `grp · d_t + pos`, where `grp` is the low part of the packed
+/// already-transformed digits `K` when `d_t < m` (partial dimensions
+/// share the lanes, as in Fig 3). Columns: the rest of `K`, then the
+/// untransformed digits (dimension `t + 1` most significant). So the
+/// element codes of one lane group of one column are
+/// `base(col) + grp + pos · Π_{u<t} d_u`.
+struct DimLayout {
+    t: usize,
+    /// `log₂ d_t`.
+    bits: u32,
+    /// Bit offset of digit `t` in an element code (`log₂ Π_{u<t} d_u`).
+    off: u32,
+    /// Lane groups that hold data (`m / d_t`, or 1 when `n < m`).
+    groups: usize,
+    /// `log₂` of the number of columns sharing the untransformed digits.
+    k_bits: u32,
+}
+
+/// Column passes below this many beats (`columns × stages`) run on the
+/// calling thread even when workers are available. Measured on the
+/// 2-core reference host at m = 64: a fan-out costs ≈ 150 µs (thread
+/// spawns, joins, the analytic re-charge) and saves ≈ 0.08 µs per beat,
+/// so the 1 536-beat dimensions of n = 2^14 lose to the sequential loop
+/// (1.39 vs 1.26 ms) and the 3 072-beat ones of n = 2^15 win (2.50 vs
+/// 2.71 ms).
+const PAR_MIN_BEATS: usize = 2048;
+
+/// Columns handed to a worker at a time in the parallel column pass.
+/// Measured with `PAR_MIN_BEATS` (2 threads, n = 2^16, median of 60):
+/// one column per queue pull costs 5.14 ms, 4 → 4.90, 16 → 4.85, 64 →
+/// 4.75 (n = 2^15: 2.71 / 2.67 / 2.51 / 2.49). 16 is where the curve
+/// flattens, and it still leaves 21 pieces to balance over the workers
+/// at the cut-off (342 columns of 6 stages), where 64 would leave 5.
+const PAR_COLUMN_BATCH: usize = 16;
 
 impl NttPlan {
     /// Plans a length-`n` transform for an `m`-lane VPU.
@@ -376,54 +447,69 @@ impl NttPlan {
         if !m.is_power_of_two() || m < 2 {
             return Err(CoreError::InvalidLaneCount { lanes: m });
         }
-        let log_n = log2_exact(n) as usize;
-        let log_m = log2_exact(m) as usize;
-        let mut dims = Vec::new();
-        let mut remaining = log_n;
+        let log_m = log2_exact(m);
+        let mut bits = Vec::new();
+        let mut remaining = log2_exact(n);
         while remaining > 0 {
-            let d = remaining.min(log_m);
-            dims.push(1usize << d);
-            remaining -= d;
+            // A trailing dimension of length 1 cannot occur, but a
+            // trailing 2 on a wide VPU is fine: the CG network splits
+            // into m/2 groups.
+            let b = remaining.min(log_m);
+            bits.push(b);
+            remaining -= b;
         }
-        // A trailing dimension of length 1 cannot occur (min(remaining,
-        // log m) ≥ 1), but a trailing 2 on a wide VPU is fine: the CG
-        // network splits into m/2 groups.
-        //
+        let dims: Vec<usize> = bits.iter().map(|&b| 1usize << b).collect();
         // Root consistency: when the modulus supports the negacyclic twist
         // (a 2n-th root ψ exists), derive ω = ψ² so that twisted-cyclic
         // and negacyclic pipelines agree; each dimension's small-NTT root
         // is then ω^{n/d}, pinned by the inter-dimension twiddles.
-        let psi = min_root_of_unity(&modulus, 2 * n as u64).ok();
+        let psi = match min_root_of_unity(&modulus, 2 * n as u64) {
+            Ok(psi) => Some((psi, modulus.inv(psi)?)),
+            Err(_) => None,
+        };
         let omega = match psi {
-            Some(p) => modulus.mul(p, p),
+            Some((p, _)) => modulus.mul(p, p),
             None => min_root_of_unity(&modulus, n as u64)?,
         };
-        let omega_inv = modulus.inv(omega)?;
-        let small = dims
-            .iter()
-            .map(|&d| SmallNtt::with_root(modulus, d, modulus.pow(omega, (n / d) as u64)))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Self {
+        let mut plan = Self {
             n,
             m,
             dims,
+            bits,
             modulus,
             omega,
-            omega_inv,
-            small,
+            omega_pows: powers(modulus, omega, n / 2).collect(),
+            small: Vec::new(),
             psi,
-        })
+            ones: vec![1; m],
+            brv: (0..m).map(|p| bit_reverse(p, log_m)).collect(),
+        };
+        plan.small = plan
+            .dims
+            .iter()
+            .map(|&d| SmallNtt::with_root(modulus, d, plan.omega_pow(n / d), m))
+            .collect::<Result<_, _>>()?;
+        Ok(plan)
+    }
+
+    /// `ω^e` for `e ∈ [0, n)`; `ω^{−e}` is `ω^{n − e}`. The table holds
+    /// the lower half of the powers and `ω^{n/2} = −1` gives the rest.
+    fn omega_pow(&self, e: usize) -> u64 {
+        match e.checked_sub(self.n / 2) {
+            None => self.omega_pows[e],
+            Some(low) => self.modulus.neg(self.omega_pows[low]),
+        }
     }
 
     /// Returns the process-wide cached plan for `(q, n, m)`, building it
-    /// on first use. Plan construction pays a root search plus per-stage
-    /// twiddle generation for every dimension; schedulers and benches
-    /// that repeatedly execute the same shape should share the plan.
+    /// on first use. Plan construction pays a root search plus the
+    /// twiddle tables of every dimension; schedulers and benches that
+    /// repeatedly execute the same shape should share the plan.
     ///
     /// # Errors
     ///
     /// As [`NttPlan::new`]; failures are not cached.
-    pub fn cached(modulus: Modulus, n: usize, m: usize) -> Result<std::sync::Arc<Self>, CoreError> {
+    pub fn cached(modulus: Modulus, n: usize, m: usize) -> Result<Arc<Self>, CoreError> {
         static PLANS: uvpu_par::Memo<(u64, usize, usize), NttPlan> = uvpu_par::Memo::new();
         PLANS.get_or_try_insert_with(&(modulus.value(), n, m), || Self::new(modulus, n, m))
     }
@@ -452,109 +538,110 @@ impl NttPlan {
         self.omega
     }
 
-    // ---- digit/layout bookkeeping -------------------------------------
-
-    /// Splits an element code into its per-dimension digits
-    /// (`code = Σ_s x_s · Π_{u<s} d_u`, dimension 0 least significant).
-    fn digits(&self, code: usize) -> Vec<usize> {
-        let mut out = Vec::with_capacity(self.dims.len());
-        let mut c = code;
-        for &d in &self.dims {
-            out.push(c % d);
-            c /= d;
-        }
-        out
+    /// Lane-width columns per pass; a transform shorter than the VPU
+    /// occupies one partial column.
+    fn cols(&self) -> usize {
+        (self.n / self.m).max(1)
     }
 
-    /// Packs digits back into a code.
-    fn pack(&self, digits: &[usize]) -> usize {
-        let mut code = 0usize;
-        let mut stride = 1usize;
-        for (x, &d) in digits.iter().zip(&self.dims) {
-            code += x * stride;
-            stride *= d;
+    // ---- closed-form index maps ----------------------------------------
+    //
+    // An element *code* packs its per-dimension digits with dimension 0
+    // least significant: `code = Σ_s x_s · Π_{u<s} d_u`. After the last
+    // dimension is transformed the code is the natural output index.
+
+    /// Flat input index of an element: its digits in reverse significance
+    /// (`i = Σ_s x_s · Π_{u>s} d_u` — dimension 0 is processed first and
+    /// has the largest input stride).
+    fn input_index(&self, mut code: usize) -> usize {
+        let mut index = 0;
+        for &b in &self.bits {
+            index = (index << b) | (code & ((1 << b) - 1));
+            code >>= b;
         }
-        code
+        index
     }
 
-    /// Input flat index for a digit tuple: `i = Σ_s i_s · Π_{u>s} d_u`
-    /// (dimension 0 has the largest stride — it is processed first).
-    fn input_index(&self, digits: &[usize]) -> usize {
-        // Suffix-product strides: dimension 0 is processed first and has
-        // the largest input stride.
-        let k = self.dims.len();
-        let mut stride = vec![1usize; k];
-        for s in (0..k.saturating_sub(1)).rev() {
-            stride[s] = stride[s + 1] * self.dims[s + 1];
+    fn layout(&self, t: usize) -> DimLayout {
+        let off: u32 = self.bits[..t].iter().sum();
+        // Only a short last dimension (or a single one, `n < m`) shares
+        // the lanes between groups, and then never more groups than
+        // there are already-transformed index values.
+        let groups = (self.m >> self.bits[t]).min(1 << off);
+        DimLayout {
+            t,
+            bits: self.bits[t],
+            off,
+            groups,
+            k_bits: off - log2_exact(groups),
         }
-        digits.iter().zip(&stride).map(|(&x, &s)| x * s).sum()
     }
 
-    /// Physical placement of a digit tuple while dimension `t` occupies
-    /// the lanes: returns `(column, lane)`.
-    ///
-    /// Lanes: `grp · d_t + x_t` where `grp` is the low part of the
-    /// transformed-digit index `K` when `d_t < m` (partial dimensions
-    /// share the lanes, as in Fig 3). Columns: the rest of `K` plus the
-    /// untransformed digits.
-    fn place(&self, t: usize, digits: &[usize]) -> (usize, usize) {
-        let d_t = self.dims[t];
-        let groups = self.m / d_t;
-        // K: mixed radix over transformed digits (dims < t).
-        let mut k_idx = 0usize;
-        let mut k_radix = 1usize;
-        for (&dig, &dim) in digits.iter().zip(&self.dims).take(t) {
-            k_idx += dig * k_radix;
-            k_radix *= dim;
+    /// Calls `visit(lane, code)` for each occupied lane of column `col`.
+    /// With `reversed`, in-group position `p` maps to digit
+    /// `bit_reverse(p)` — the transformed side of a Pease NTT (forward
+    /// output, inverse input); otherwise to digit `p`.
+    fn for_column(
+        &self,
+        lay: &DimLayout,
+        col: usize,
+        reversed: bool,
+        mut visit: impl FnMut(usize, usize),
+    ) {
+        // Column = (rest of K) + 2^k_bits · r, r the untransformed digits
+        // with dimension t + 1 most significant.
+        let mut base = (col & ((1 << lay.k_bits) - 1)) * lay.groups;
+        let mut rest = col >> lay.k_bits;
+        let mut off = log2_exact(self.n);
+        for &b in self.bits[lay.t + 1..].iter().rev() {
+            off -= b;
+            base |= (rest & ((1 << b) - 1)) << off;
+            rest >>= b;
         }
-        // r: mixed radix over untransformed digits (dims > t), dim t+1 major.
-        let mut r_idx = 0usize;
-        for (&dig, &dim) in digits.iter().zip(&self.dims).skip(t + 1) {
-            r_idx = r_idx * dim + dig;
+        let narrow = log2_exact(self.m) - lay.bits;
+        for grp in 0..lay.groups {
+            for pos in 0..1 << lay.bits {
+                let digit = if reversed {
+                    self.brv[pos] >> narrow
+                } else {
+                    pos
+                };
+                visit((grp << lay.bits) + pos, base + grp + (digit << lay.off));
+            }
         }
-        let grp = k_idx % groups;
-        let lane = grp * d_t + digits[t];
-        let col = (k_idx / groups) + (k_radix / groups) * r_idx;
-        (col, lane)
     }
 
-    /// The twiddle exponent applied to a slot just before dimension `t`
-    /// is transformed: `ω_{P_t}^{i_t · κ_t}` expressed as an exponent of
-    /// the global ω, where `P_t = Π_{u≤t} d_u` and `κ_t` is the packed
-    /// transformed index so far.
-    fn twiddle_exponent(&self, t: usize, digits: &[usize]) -> u64 {
-        let mut kappa = 0usize;
-        let mut radix = 1usize;
-        for (&dig, &dim) in digits.iter().zip(&self.dims).take(t) {
-            kappa += dig * radix;
-            radix *= dim;
+    /// Column `col` gathered from `state` into the lane-width `lanes`
+    /// (unoccupied lanes read zero), through its small NTT on `vpu`, and
+    /// back out into `lanes`.
+    fn transform_column<S: TraceSink>(
+        &self,
+        vpu: &mut Vpu<S>,
+        lay: &DimLayout,
+        col: usize,
+        direction: Direction,
+        state: &[u64],
+        lanes: &mut [u64],
+    ) -> Result<(), CoreError> {
+        lanes[lay.groups << lay.bits..].fill(0);
+        let reversed = direction == Direction::Inverse;
+        self.for_column(lay, col, reversed, |lane, code| lanes[lane] = state[code]);
+        vpu.load(0, lanes)?;
+        match direction {
+            Direction::Forward => self.small[lay.t].run_forward(vpu, 0)?,
+            Direction::Inverse => self.small[lay.t].run_inverse(vpu, 0)?,
         }
-        let p_t = radix * self.dims[t];
-        // ω_{P_t} = ω^{n / P_t}.
-        let e = (digits[t] * kappa) % p_t;
-        (self.n / p_t) as u64 * e as u64 % self.n as u64
+        vpu.store_into(0, lanes)
     }
 
     fn transpose_moves_per_column(&self, t: usize) -> u64 {
         // Fig 3: two shift traversals per column; entering a dimension
         // shorter than the VPU width costs log m − log d extra CG
         // traversals per column (up to log m − 1 for d = 2).
-        let base = 2u64;
-        let extra = (log2_exact(self.m) - log2_exact(self.dims[t])) as u64;
-        base + extra
+        2 + u64::from(log2_exact(self.m) - self.bits[t])
     }
 
     // ---- execution -----------------------------------------------------
-
-    fn execute<S: TraceSink>(
-        &self,
-        vpu: &mut Vpu<S>,
-        input: &[u64],
-        direction: Direction,
-        negacyclic: bool,
-    ) -> Result<NttExecution, CoreError> {
-        self.execute_on(std::slice::from_mut(vpu), input, direction, negacyclic)
-    }
 
     fn execute_on<S: TraceSink>(
         &self,
@@ -580,7 +667,7 @@ impl NttPlan {
                 return Err(CoreError::Math(MathError::ModulusMismatch));
             }
         }
-        let psi = if negacyclic {
+        let twist = if negacyclic {
             Some(self.psi.ok_or(CoreError::Math(MathError::NoRootOfUnity {
                 modulus: self.modulus.value(),
                 order: 2 * self.n as u64,
@@ -592,8 +679,7 @@ impl NttPlan {
             vpu.ensure_depth(2);
         }
         let starts: Vec<CycleStats> = vpus.iter().map(|v| *v.stats()).collect();
-        // A transform shorter than the VPU occupies one partial column.
-        let cols = (self.n / self.m).max(1);
+        let cols = self.cols() as u64;
         let kdims = self.dims.len();
         // Phase spans are emitted on shard 0 (the only shard for
         // single-VPU runs); sharded beats still trace on their own VPU.
@@ -605,41 +691,40 @@ impl NttPlan {
         };
         vpus[0].span_begin(phase);
         let trace_names = vpus[0].sink().enabled();
+        let q = self.modulus;
+        let mask = self.n - 1;
+        // x · ψ^{±i} from ψ^{±i} = ω^{±⌊i/2⌋} · ψ^{±(i mod 2)}: `half` is
+        // the exponent of the ω factor, `odd` is ψ^{±1}.
+        let twisted = |x: u64, i: usize, half: usize, odd: u64| {
+            let y = q.mul(x, self.omega_pow(half));
+            if i & 1 == 1 {
+                q.mul(y, odd)
+            } else {
+                y
+            }
+        };
 
         // state[code] = current value of the element with that digit code.
         // Every code is written before any read (the digit map is a
         // bijection), so uninitialized pool scratch is safe here.
         let mut state = uvpu_math::pool::take_scratch(self.n);
-        match direction {
+        let output = match direction {
             Direction::Forward => {
-                let mut data = uvpu_math::pool::take_scratch(self.n);
-                for (o, &x) in data.iter_mut().zip(input) {
-                    *o = self.modulus.reduce_u64(x);
-                }
-                if let Some(psi) = psi {
-                    // ψ-twist turns the negacyclic problem cyclic; the
-                    // element-wise beats are charged below.
-                    psi_twist_inplace(&mut data, psi, &self.modulus);
-                }
+                // Load through the digit reversal; the ψ-twist x_i · ψ^i
+                // turns the negacyclic problem cyclic. Its element-wise
+                // beats are charged below.
                 for (code, slot) in state.iter_mut().enumerate() {
-                    let digits = self.digits(code);
-                    *slot = data[self.input_index(&digits)];
+                    let i = self.input_index(code);
+                    let x = q.reduce_u64(input[i]);
+                    *slot = match twist {
+                        Some((psi, _)) => twisted(x, i, i >> 1, psi),
+                        None => x,
+                    };
                 }
-                uvpu_math::pool::recycle(data);
-            }
-            Direction::Inverse => {
-                for (slot, &x) in state.iter_mut().zip(input) {
-                    *slot = self.modulus.reduce_u64(x);
-                }
-            }
-        }
-
-        match direction {
-            Direction::Forward => {
-                if psi.is_some() {
+                if twist.is_some() {
                     // One element-wise beat per column for the twist.
                     vpus[0].span_begin("ntt.twist");
-                    self.charge_elementwise(vpus, cols as u64)?;
+                    self.charge_elementwise(vpus, cols)?;
                     vpus[0].span_end("ntt.twist");
                 }
                 for t in 0..kdims {
@@ -647,93 +732,57 @@ impl NttPlan {
                         // Inter-dimension twiddle (element-wise) …
                         vpus[0].span_begin("ntt.twiddle");
                         self.apply_twiddles(&mut state, t, false);
-                        self.charge_elementwise(vpus, cols as u64)?;
+                        self.charge_elementwise(vpus, cols)?;
                         vpus[0].span_end("ntt.twiddle");
                         // … then the transpose bringing dim t into lanes.
-                        vpus[0].span_begin("ntt.transpose");
-                        self.charge_network_moves_sharded(
-                            vpus,
-                            self.transpose_moves_per_column(t),
-                            cols,
-                        );
-                        vpus[0].span_end("ntt.transpose");
+                        self.charge_transpose(vpus, t);
                     }
-                    if trace_names {
-                        vpus[0].span_begin(&format!("ntt.dim{t}"));
-                    }
-                    self.run_dimension(vpus, &mut state, t, Direction::Forward)?;
-                    if trace_names {
-                        vpus[0].span_end(&format!("ntt.dim{t}"));
-                    }
+                    self.run_dimension(vpus, &mut state, t, Direction::Forward, trace_names)?;
                 }
                 // Readout: code == natural output index by construction.
-                let output = state;
-                vpus[0].span_end(phase);
-                let stats = self.delta_all(vpus, &starts);
-                Ok(NttExecution { output, stats })
+                state
             }
             Direction::Inverse => {
+                for (slot, &x) in state.iter_mut().zip(input) {
+                    *slot = q.reduce_u64(x);
+                }
                 for t in (0..kdims).rev() {
                     if t < kdims - 1 {
                         // Mirror of the forward transpose (leaving dim t+1).
-                        vpus[0].span_begin("ntt.transpose");
-                        self.charge_network_moves_sharded(
-                            vpus,
-                            self.transpose_moves_per_column(t + 1),
-                            cols,
-                        );
-                        vpus[0].span_end("ntt.transpose");
+                        self.charge_transpose(vpus, t + 1);
                     }
-                    if trace_names {
-                        vpus[0].span_begin(&format!("ntt.dim{t}"));
-                    }
-                    self.run_dimension(vpus, &mut state, t, Direction::Inverse)?;
-                    if trace_names {
-                        vpus[0].span_end(&format!("ntt.dim{t}"));
-                    }
+                    self.run_dimension(vpus, &mut state, t, Direction::Inverse, trace_names)?;
                     if t > 0 {
                         vpus[0].span_begin("ntt.twiddle");
                         self.apply_twiddles(&mut state, t, true);
-                        self.charge_elementwise(vpus, cols as u64)?;
+                        self.charge_elementwise(vpus, cols)?;
                         vpus[0].span_end("ntt.twiddle");
                     }
                 }
-                if let Some(psi) = psi {
-                    let psi_inv = self.modulus.inv(psi)?;
-                    let mut out = uvpu_math::pool::take_scratch(self.n);
-                    for (code, &val) in state.iter().enumerate() {
-                        let digits = self.digits(code);
-                        out[self.input_index(&digits)] = val;
-                    }
-                    uvpu_math::pool::recycle(state);
-                    vpus[0].span_begin("ntt.twist");
-                    psi_twist_inplace(&mut out, psi_inv, &self.modulus);
-                    self.charge_elementwise(vpus, cols as u64)?;
-                    vpus[0].span_end("ntt.twist");
-                    vpus[0].span_end(phase);
-                    let stats = self.delta_all(vpus, &starts);
-                    return Ok(NttExecution { output: out, stats });
-                }
+                // Store through the digit reversal, untwisting by ψ^{−i}.
                 let mut out = uvpu_math::pool::take_scratch(self.n);
-                for (code, &val) in state.iter().enumerate() {
-                    let digits = self.digits(code);
-                    out[self.input_index(&digits)] = val;
+                for (code, &x) in state.iter().enumerate() {
+                    let i = self.input_index(code);
+                    out[i] = match twist {
+                        Some((_, psi_inv)) => twisted(x, i, (self.n - (i >> 1)) & mask, psi_inv),
+                        None => x,
+                    };
                 }
                 uvpu_math::pool::recycle(state);
-                vpus[0].span_end(phase);
-                let stats = self.delta_all(vpus, &starts);
-                Ok(NttExecution { output: out, stats })
+                if twist.is_some() {
+                    vpus[0].span_begin("ntt.twist");
+                    self.charge_elementwise(vpus, cols)?;
+                    vpus[0].span_end("ntt.twist");
+                }
+                out
             }
+        };
+        vpus[0].span_end(phase);
+        let mut stats = CycleStats::new();
+        for (vpu, start) in vpus.iter().zip(&starts) {
+            stats += vpu.stats().delta(start);
         }
-    }
-
-    /// Aggregate cycle delta across all shards since `starts`.
-    fn delta_all<S: TraceSink>(&self, vpus: &[Vpu<S>], starts: &[CycleStats]) -> CycleStats {
-        let mut total = CycleStats::new();
-        for (vpu, start) in vpus.iter().zip(starts) {
-            total += vpu.stats().delta(start);
-        }
-        total
+        Ok(NttExecution { output, stats })
     }
 
     fn charge_elementwise<S: TraceSink>(
@@ -746,60 +795,39 @@ impl NttPlan {
         // column distributed round-robin across the shard set.
         let shard_count = vpus.len();
         for b in 0..beats {
-            let vpu = &mut vpus[(b as usize) % shard_count];
-            vpu.ensure_depth(2);
-            vpu.ewise_mul_const(1, 1, &vec![1u64; self.m])?;
+            vpus[(b as usize) % shard_count].ewise_mul_const(1, 1, &self.ones)?;
         }
         Ok(())
     }
 
-    fn charge_network_moves_sharded<S: TraceSink>(
-        &self,
-        vpus: &mut [Vpu<S>],
-        per_column: u64,
-        cols: usize,
-    ) {
-        for c in 0..cols {
-            vpus[c % vpus.len()].charge_network_moves(per_column);
+    /// Charges the transpose that brings dimension `t` into the lanes
+    /// (or, mirrored, takes it out), column by column round-robin.
+    fn charge_transpose<S: TraceSink>(&self, vpus: &mut [Vpu<S>], t: usize) {
+        vpus[0].span_begin("ntt.transpose");
+        let shard_count = vpus.len();
+        for c in 0..self.cols() {
+            vpus[c % shard_count].charge_network_moves(self.transpose_moves_per_column(t));
         }
+        vpus[0].span_end("ntt.transpose");
     }
 
     /// Applies the inter-dimension twiddles for dimension `t` directly on
     /// the logical state (values are position-independent scalings; the
-    /// pipeline beat is charged by the caller).
-    ///
-    /// The scaling of element `code` depends only on `code`, so the state
-    /// is split into contiguous chunks mapped in parallel and written
-    /// back in chunk order — bit-exact for any thread count.
+    /// pipeline beat is charged by the caller): `ω_{P_t}^{x_t · κ_t}`
+    /// with `P_t = Π_{u≤t} d_u` and `κ_t` the packed transformed index so
+    /// far — the low bits of the code — read from the ω-power table.
     fn apply_twiddles(&self, state: &mut [u64], t: usize, inverse: bool) {
-        let root = if inverse { self.omega_inv } else { self.omega };
-        let scale = |code: usize, v: u64| {
-            let digits = self.digits(code);
-            let e = self.twiddle_exponent(t, &digits);
-            if e != 0 {
-                self.modulus.mul(v, self.modulus.pow(root, e))
-            } else {
-                v
-            }
-        };
-        let threads = uvpu_par::max_threads();
-        if threads > 1 && self.n >= 1024 {
-            let chunk = self.n.div_ceil(threads * 4);
-            let src: &[u64] = state;
-            let parts: Vec<Vec<u64>> = uvpu_par::par_map_indexed(self.n.div_ceil(chunk), |ci| {
-                let lo = ci * chunk;
-                let hi = (lo + chunk).min(self.n);
-                (lo..hi).map(|code| scale(code, src[code])).collect()
-            });
-            let mut lo = 0;
-            for part in parts {
-                state[lo..lo + part.len()].copy_from_slice(&part);
-                lo += part.len();
-            }
-            return;
-        }
+        let off: u32 = self.bits[..t].iter().sum();
+        let span = off + self.bits[t];
+        let step = log2_exact(self.n) - span;
         for (code, v) in state.iter_mut().enumerate() {
-            *v = scale(code, *v);
+            let kappa = code & ((1 << off) - 1);
+            let digit = (code >> off) & ((1 << self.bits[t]) - 1);
+            let e = ((digit * kappa) & ((1 << span) - 1)) << step;
+            if e != 0 {
+                let e = if inverse { self.n - e } else { e };
+                *v = self.modulus.mul(*v, self.omega_pow(e));
+            }
         }
     }
 
@@ -811,123 +839,70 @@ impl NttPlan {
         state: &mut [u64],
         t: usize,
         direction: Direction,
+        trace_names: bool,
     ) -> Result<(), CoreError> {
-        let cols = (self.n / self.m).max(1);
-        let d_t = self.dims[t];
-        let small = &self.small[t];
-        /// Marks a lane with no element mapped to it (`n < m` layouts).
-        const UNUSED: usize = usize::MAX;
-        // Column gather: physical (col, lane) for each code under the
-        // phase-t layout, with the in-group position corresponding to the
-        // *untransformed* digit i_t (forward input / inverse output), and
-        // bit-reversed k_t on the transformed side.
-        let mut col_codes: Vec<Vec<usize>> = vec![vec![UNUSED; self.m]; cols];
-        for code in 0..self.n {
-            let mut digits = self.digits(code);
-            // The physical in-group position: forward reads i_t at
-            // position p = i_t and leaves X[brv(p)] at p; represent the
-            // transformed digit's position as brv(k_t).
-            let x_t = digits[t];
-            let pos = match direction {
-                Direction::Forward => x_t,
-                Direction::Inverse => bit_reverse(x_t, log2_exact(d_t)),
-            };
-            digits[t] = pos;
-            let (col, lane) = self.place(t, &digits);
-            digits[t] = x_t;
-            col_codes[col][lane] = code;
+        if trace_names {
+            vpus[0].span_begin(&format!("ntt.dim{t}"));
         }
+        let (m, cols) = (self.m, self.cols());
+        let lay = self.layout(t);
+        // Forward reads digit i_t at position p = i_t and leaves
+        // X[brv(p)] at p; the inverse consumes that order and restores
+        // the natural one. So one side of each pass is bit-reversed.
+        let inverse = direction == Direction::Inverse;
         let shard_count = vpus.len();
-        // Parallel path: every column's lane transform is independent, so
-        // workers run the identical `SmallNtt` code on private scratch
-        // VPUs while the *real* shards are charged analytically below —
-        // in the same deterministic round-robin order as the sequential
-        // loop, so the outputs, the per-shard `CycleStats`, and the
-        // traced beat/mem event streams are all bit-identical for any
-        // thread count (the scratch VPUs' own events land on `NopSink`s;
-        // each column's load/store is re-emitted on its real shard).
-        if uvpu_par::max_threads() > 1 && cols > 1 {
+        if uvpu_par::max_threads() > 1 && cols * lay.bits as usize >= PAR_MIN_BEATS {
+            // Parallel path: every column's lane transform is
+            // independent, so workers run the identical `SmallNtt` code on
+            // private scratch VPUs, writing column-major into `routed`,
+            // while the *real* shards are charged analytically below — in
+            // the same deterministic round-robin order as the sequential
+            // loop. Outputs and per-shard `CycleStats` are bit-identical
+            // for any thread count; so is the event stream, except that a
+            // column's stages arrive as one `beats(count)` event at the
+            // cycle of the first (the scratch VPUs' own events and fault
+            // hooks land on `NopSink`s; each column's load/store is
+            // re-emitted on its real shard).
             let src: &[u64] = state;
-            let outputs: Vec<Result<Vec<u64>, CoreError>> = uvpu_par::par_map_indexed_with(
-                col_codes.len(),
-                || Vpu::new(self.m, self.modulus, 2),
-                |scratch, col| {
+            let mut routed = uvpu_math::pool::take_scratch(cols * m);
+            uvpu_par::par_chunks_mut_with(
+                &mut routed,
+                PAR_COLUMN_BATCH * m,
+                || Vpu::new(m, self.modulus, 1),
+                |scratch, batch, piece| {
                     let vpu = scratch.as_mut().map_err(|e| e.clone())?;
-                    let column: Vec<u64> = col_codes[col]
-                        .iter()
-                        .map(|&c| if c == UNUSED { 0 } else { src[c] })
-                        .collect();
-                    vpu.load(0, &column)?;
-                    match direction {
-                        Direction::Forward => small.run_forward(vpu, 0)?,
-                        Direction::Inverse => small.run_inverse(vpu, 0)?,
-                    }
-                    vpu.store(0)
+                    (batch * PAR_COLUMN_BATCH..)
+                        .zip(piece.chunks_mut(m))
+                        .try_for_each(|(col, lanes)| {
+                            self.transform_column(vpu, &lay, col, direction, src, lanes)
+                        })
                 },
-            );
-            let stage_beats = u64::from(log2_exact(d_t));
-            for (col, (codes, out)) in col_codes.iter().zip(outputs).enumerate() {
-                let out = out?;
+            )?;
+            for (col, lanes) in routed.chunks(m).enumerate() {
                 let vpu = &mut vpus[col % shard_count];
-                vpu.charge_mem(MemDir::Load, 0, self.m);
-                vpu.charge_butterflies(stage_beats);
-                if direction == Direction::Inverse {
+                vpu.charge_mem(MemDir::Load, 0, m);
+                vpu.charge_butterflies(u64::from(lay.bits));
+                if inverse {
                     // The `L^{-1}` fold of `SmallNtt::run_inverse`.
                     vpu.charge_elementwise_ops(EwiseOp::MulConst, 1);
                 }
-                vpu.charge_mem(MemDir::Store, 0, out.len());
-                self.scatter_column(state, codes, &out, t, direction);
+                vpu.charge_mem(MemDir::Store, 0, m);
+                self.for_column(&lay, col, !inverse, |lane, code| state[code] = lanes[lane]);
             }
-            return Ok(());
+            uvpu_math::pool::recycle(routed);
+        } else {
+            let mut lanes = uvpu_math::pool::take_scratch(m);
+            for col in 0..cols {
+                let vpu = &mut vpus[col % shard_count];
+                self.transform_column(vpu, &lay, col, direction, state, &mut lanes)?;
+                self.for_column(&lay, col, !inverse, |lane, code| state[code] = lanes[lane]);
+            }
+            uvpu_math::pool::recycle(lanes);
         }
-        for (col, codes) in col_codes.iter().enumerate() {
-            let vpu = &mut vpus[col % shard_count];
-            let column: Vec<u64> = codes
-                .iter()
-                .map(|&c| if c == UNUSED { 0 } else { state[c] })
-                .collect();
-            vpu.load(0, &column)?;
-            match direction {
-                Direction::Forward => small.run_forward(vpu, 0)?,
-                Direction::Inverse => small.run_inverse(vpu, 0)?,
-            }
-            let out = vpu.store(0)?;
-            self.scatter_column(state, codes, &out, t, direction);
+        if trace_names {
+            vpus[0].span_end(&format!("ntt.dim{t}"));
         }
         Ok(())
-    }
-
-    /// Writes one transformed column back into the logical state.
-    ///
-    /// Forward: position p holds X\[brv(p)\]; the code at lane
-    /// (grp·d + p) had digit i_t = p, so the transformed value with
-    /// k_t = brv(p) belongs to the code with digit brv(p).
-    fn scatter_column(
-        &self,
-        state: &mut [u64],
-        codes: &[usize],
-        out: &[u64],
-        t: usize,
-        direction: Direction,
-    ) {
-        let d_t = self.dims[t];
-        for (lane, &code) in codes.iter().enumerate() {
-            if code == usize::MAX {
-                continue;
-            }
-            let grp_pos = lane % d_t;
-            let mut digits = self.digits(code);
-            match direction {
-                Direction::Forward => {
-                    digits[t] = bit_reverse(grp_pos, log2_exact(d_t));
-                }
-                Direction::Inverse => {
-                    digits[t] = grp_pos;
-                }
-            }
-            let target = self.pack(&digits);
-            state[target] = out[lane];
-        }
     }
 
     /// Executes the forward **cyclic** transform: output `X[k] = Σ_i
@@ -941,7 +916,7 @@ impl NttPlan {
         vpu: &mut Vpu<S>,
         input: &[u64],
     ) -> Result<NttExecution, CoreError> {
-        self.execute(vpu, input, Direction::Forward, false)
+        self.execute_on(std::slice::from_mut(vpu), input, Direction::Forward, false)
     }
 
     /// Executes the inverse cyclic transform (natural-order spectrum in,
@@ -955,7 +930,7 @@ impl NttPlan {
         vpu: &mut Vpu<S>,
         input: &[u64],
     ) -> Result<NttExecution, CoreError> {
-        self.execute(vpu, input, Direction::Inverse, false)
+        self.execute_on(std::slice::from_mut(vpu), input, Direction::Inverse, false)
     }
 
     /// Executes the forward **negacyclic** transform (the FHE NTT over
@@ -970,7 +945,7 @@ impl NttPlan {
         vpu: &mut Vpu<S>,
         input: &[u64],
     ) -> Result<NttExecution, CoreError> {
-        self.execute(vpu, input, Direction::Forward, true)
+        self.execute_on(std::slice::from_mut(vpu), input, Direction::Forward, true)
     }
 
     /// Executes the inverse negacyclic transform.
@@ -983,7 +958,7 @@ impl NttPlan {
         vpu: &mut Vpu<S>,
         input: &[u64],
     ) -> Result<NttExecution, CoreError> {
-        self.execute(vpu, input, Direction::Inverse, true)
+        self.execute_on(std::slice::from_mut(vpu), input, Direction::Inverse, true)
     }
 
     /// Executes the forward negacyclic transform **sharded across
@@ -1025,8 +1000,8 @@ impl NttPlan {
     /// cycle): the denominator's baseline for paper Table III.
     #[must_use]
     pub fn ideal_compute_beats(&self, negacyclic: bool) -> u64 {
-        let cols = (self.n / self.m) as u64;
-        let butterfly: u64 = self.dims.iter().map(|&d| log2_exact(d) as u64).sum::<u64>() * cols;
+        let cols = self.cols() as u64;
+        let butterfly: u64 = self.bits.iter().map(|&b| u64::from(b)).sum::<u64>() * cols;
         let twiddle = (self.dims.len() as u64 - 1) * cols;
         let twist = if negacyclic { cols } else { 0 };
         butterfly + twiddle + twist
@@ -1034,10 +1009,186 @@ impl NttPlan {
 }
 
 #[cfg(test)]
+pub(crate) mod oracle;
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
+    use super::oracle::{probes, Oracle};
     use super::*;
+    use crate::trace::TraceEvent;
+    use proptest::prelude::*;
     use uvpu_math::ntt::{naive_cyclic_dft, NttTable};
     use uvpu_math::primes::ntt_prime;
+
+    /// One shape of the compiled plan against the per-element oracle:
+    /// output words, aggregate and per-shard `CycleStats`, and — on the
+    /// per-beat sequential path — every trace event and fault-hook offer
+    /// in order; then the worker-pool path at 2, 4 and 7 threads must
+    /// produce the same words, stats and beat-run event stream.
+    fn check_against_oracle(
+        (log_m, log_n): (u32, u32),
+        forward: bool,
+        negacyclic: bool,
+        shards: usize,
+        seed: u64,
+    ) -> Result<(), TestCaseError> {
+        let (n, m) = (1usize << log_n, 1usize << log_m);
+        let q = modulus_for(n);
+        let plan = NttPlan::new(q, n, m).unwrap();
+        let direction = if forward {
+            Direction::Forward
+        } else {
+            Direction::Inverse
+        };
+        let input: Vec<u64> = (0..n as u64)
+            .map(|i| (i ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            .collect();
+        let capacity = plan.cols() * (log_n as usize + 5 * plan.dims().len() + 2) + 64;
+
+        let mut expect_vpus = probes(m, q, shards, capacity);
+        let expect = Oracle(&plan).execute(&mut expect_vpus, &input, direction, negacyclic);
+        let mut got_vpus = probes(m, q, shards, capacity);
+        let got = uvpu_par::with_threads(1, || {
+            plan.execute_on(&mut got_vpus, &input, direction, negacyclic)
+        })
+        .unwrap();
+        prop_assert_eq!(&got.output, &expect.output);
+        prop_assert_eq!(got.stats, expect.stats);
+        let (ring, hooks) = expect_vpus[0].sink();
+        prop_assert!(!ring.events().is_empty() && !hooks.0.is_empty());
+        for (got, expect) in got_vpus.iter().zip(&expect_vpus) {
+            prop_assert_eq!(got.stats(), expect.stats());
+            prop_assert_eq!(got.sink().0.dropped(), 0);
+            prop_assert_eq!(got.sink().0.events(), expect.sink().0.events());
+            prop_assert_eq!(&got.sink().1, &expect.sink().1);
+        }
+
+        // The worker-pool column pass charges each column's stages as
+        // one `beats(count)` event instead of `count` single beats (and
+        // offers no fault hooks: the lanes run on the workers' scratch
+        // VPUs). Everything else — every mem and span event, and the
+        // start cycle, kind and length of every run of beats — is the
+        // sequential stream's, on every shard.
+        for threads in [2, 4, 7] {
+            let mut pool_vpus = probes(m, q, shards, capacity);
+            let pooled = uvpu_par::with_threads(threads, || {
+                plan.execute_on(&mut pool_vpus, &input, direction, negacyclic)
+            })
+            .unwrap();
+            prop_assert_eq!(&pooled.output, &expect.output);
+            prop_assert_eq!(pooled.stats, expect.stats);
+            for (pooled, expect) in pool_vpus.iter().zip(&expect_vpus) {
+                prop_assert_eq!(pooled.stats(), expect.stats());
+                prop_assert_eq!(pooled.sink().0.dropped(), 0);
+                prop_assert_eq!(
+                    beat_runs(pooled.sink().0.events()),
+                    beat_runs(expect.sink().0.events())
+                );
+            }
+        }
+        Ok(())
+    }
+
+    /// The event stream with every run of back-to-back beats of one kind
+    /// merged into a single `Beat` event.
+    fn beat_runs<'a>(events: impl IntoIterator<Item = &'a TraceEvent>) -> Vec<TraceEvent> {
+        let mut runs: Vec<TraceEvent> = Vec::new();
+        for event in events {
+            if let (
+                Some(TraceEvent::Beat {
+                    cycle, kind, count, ..
+                }),
+                TraceEvent::Beat {
+                    cycle: next,
+                    kind: next_kind,
+                    count: more,
+                    ..
+                },
+            ) = (runs.last_mut(), event)
+            {
+                if kind == next_kind && *cycle + *count == *next {
+                    *count += more;
+                    continue;
+                }
+            }
+            runs.push(event.clone());
+        }
+        runs
+    }
+
+    #[test]
+    fn compiled_plan_equals_oracle_on_edge_shapes() {
+        // (log₂ m, log₂ n): n < m, n = m, a trailing dimension of 2 at
+        // every width, and shapes wide enough (≥ `PAR_MIN_BEATS` beats
+        // per dimension) to take the worker-pool column pass.
+        let shapes = [
+            (6, 1),
+            (6, 5),
+            (6, 6),
+            (6, 7),
+            (6, 15),
+            (4, 3),
+            (4, 5),
+            (4, 14),
+            (2, 1),
+            (2, 3),
+            (2, 12),
+            (1, 1),
+            (1, 4),
+        ];
+        for (i, shape) in shapes.into_iter().enumerate() {
+            for (forward, negacyclic) in [(true, true), (false, true), (true, false)] {
+                check_against_oracle(shape, forward, negacyclic, 1 + i % 3, i as u64).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn closed_form_input_index_is_the_digit_reversal() {
+        for (n, m) in [
+            (2usize, 64usize),
+            (32, 64),
+            (128, 64),
+            (1 << 13, 64),
+            (64, 4),
+        ] {
+            let plan = NttPlan::new(modulus_for(n), n, m).unwrap();
+            let oracle = Oracle(&plan);
+            for code in 0..n {
+                let mut c = code;
+                let digits: Vec<usize> = plan
+                    .dims()
+                    .iter()
+                    .map(|&d| {
+                        let x = c % d;
+                        c /= d;
+                        x
+                    })
+                    .collect();
+                assert_eq!(plan.input_index(code), oracle.input_index(&digits));
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(40))]
+        #[test]
+        fn compiled_plan_equals_oracle(
+            width in 0usize..4,
+            log_n in 1u32..=14,
+            forward in any::<bool>(),
+            negacyclic in any::<bool>(),
+            shards in 1usize..=3,
+            seed in any::<u64>(),
+        ) {
+            // 2- and 4-lane shapes stop at 2^12: their event logs grow
+            // with log₂ n dimensions per column.
+            let log_m = [1u32, 2, 4, 6][width];
+            let shape = (log_m, if log_m <= 2 { log_n.min(12) } else { log_n });
+            check_against_oracle(shape, forward, negacyclic, shards, seed)?;
+        }
+    }
 
     fn modulus_for(n: usize) -> Modulus {
         Modulus::new(ntt_prime(30, n.max(8)).unwrap()).unwrap()
@@ -1066,7 +1217,10 @@ mod tests {
     fn small_ntt_groups_run_in_parallel() {
         // Two independent length-4 NTTs on an 8-lane VPU.
         let q = modulus_for(8);
-        let ntt = SmallNtt::new(q, 4).unwrap();
+        let omega = min_root_of_unity(&q, 4).unwrap();
+        let ntt = SmallNtt::with_root(q, 4, omega, 8).unwrap();
+        assert!(SmallNtt::with_root(q, 4, omega, 6).is_err());
+        assert!(ntt.run_forward(&mut Vpu::new(4, q, 4).unwrap(), 0).is_err());
         let mut vpu = Vpu::new(8, q, 4).unwrap();
         let a: Vec<u64> = vec![1, 2, 3, 4];
         let b: Vec<u64> = vec![9, 8, 7, 6];

@@ -168,6 +168,7 @@ impl fmt::Display for CycleStats {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 

@@ -148,7 +148,14 @@ impl NetKind {
     /// Classifies a traversal configuration.
     #[must_use]
     pub const fn from_pass(pass: &NetworkPass) -> Self {
-        match (pass.cg, pass.shifts.is_some()) {
+        Self::of(pass.cg, pass.shifts.is_some())
+    }
+
+    /// Classifies a traversal by its two halves: the CG orientation, if
+    /// any, and whether the shift stages are active.
+    #[must_use]
+    pub(crate) const fn of(cg: Option<CgDirection>, shifts: bool) -> Self {
+        match (cg, shifts) {
             (None, false) => Self::Route,
             (Some(CgDirection::Dif), false) => Self::CgShuffle,
             (Some(CgDirection::Dit), false) => Self::CgUnshuffle,
@@ -1417,6 +1424,7 @@ pub fn global_span_end_at(track: u32, name: &str, ts: u64) {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::control::ShiftControls;

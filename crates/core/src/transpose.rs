@@ -142,6 +142,7 @@ pub fn fig3b_mixed_transpose<S: TraceSink>(
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use uvpu_math::modular::Modulus;

@@ -54,10 +54,14 @@ pub enum PeaseStage<'a> {
 pub struct Vpu<S: TraceSink = NopSink> {
     regs: LaneArray,
     network: InterLaneNetwork,
-    control_table: AutomorphismControlTable,
+    control_table: std::sync::Arc<AutomorphismControlTable>,
     stats: CycleStats,
     sink: S,
     track: u32,
+    /// Two lane-width halves, `[routed | gathered]`: every network
+    /// traversal lands in the first, and per-lane gathers stage in the
+    /// second, so no beat allocates.
+    scratch: Vec<u64>,
 }
 
 impl Vpu {
@@ -85,10 +89,11 @@ impl<S: TraceSink> Vpu<S> {
         Ok(Self {
             regs: LaneArray::new(m, modulus, depth)?,
             network: InterLaneNetwork::new(m)?,
-            control_table: AutomorphismControlTable::new(m)?,
+            control_table: AutomorphismControlTable::cached(m)?,
             stats: CycleStats::new(),
             sink,
             track: 0,
+            scratch: vec![0; 2 * m],
         })
     }
 
@@ -153,7 +158,7 @@ impl<S: TraceSink> Vpu<S> {
 
     /// The precomputed automorphism control SRAM.
     #[must_use]
-    pub const fn control_table(&self) -> &AutomorphismControlTable {
+    pub fn control_table(&self) -> &AutomorphismControlTable {
         &self.control_table
     }
 
@@ -235,18 +240,8 @@ impl<S: TraceSink> Vpu<S> {
     ///
     /// Bad address or wrong vector length.
     pub fn load(&mut self, addr: usize, data: &[u64]) -> Result<(), CoreError> {
-        let reduced: Vec<u64> = data
-            .iter()
-            .map(|&x| self.regs.modulus().reduce_u64(x))
-            .collect();
-        self.regs.write(addr, &reduced)?;
-        self.sink.mem(
-            self.track,
-            self.stats.total(),
-            MemDir::Load,
-            addr,
-            data.len(),
-        );
+        self.regs.write_reduced(addr, data)?;
+        self.charge_mem(MemDir::Load, addr, data.len());
         Ok(())
     }
 
@@ -256,26 +251,34 @@ impl<S: TraceSink> Vpu<S> {
     ///
     /// Bad address.
     pub fn store(&mut self, addr: usize) -> Result<Vec<u64>, CoreError> {
-        let mut out = self.regs.read(addr)?.to_vec();
+        let mut out = vec![0; self.lanes()];
+        self.store_into(addr, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`store`](Self::store) into a caller-provided lane-width buffer.
+    ///
+    /// # Errors
+    ///
+    /// Bad address, or `out` not lane-width.
+    pub fn store_into(&mut self, addr: usize, out: &mut [u64]) -> Result<(), CoreError> {
+        let reg = self.regs.read(addr)?;
+        if out.len() != reg.len() {
+            return Err(CoreError::LengthMismatch {
+                expected: reg.len(),
+                actual: out.len(),
+            });
+        }
+        out.copy_from_slice(reg);
         if self.sink.fault_hooks_enabled() {
             // Register-file read at the store interface: the words leave
             // the modular datapath, so injected corruption stays raw
             // (possibly ≥ q) — exactly what a range guard must catch.
-            self.sink.fault_data(
-                self.track,
-                self.stats.total(),
-                FaultSite::RegFileRead,
-                &mut out,
-            );
+            self.sink
+                .fault_data(self.track, self.stats.total(), FaultSite::RegFileRead, out);
         }
-        self.sink.mem(
-            self.track,
-            self.stats.total(),
-            MemDir::Store,
-            addr,
-            out.len(),
-        );
-        Ok(out)
+        self.charge_mem(MemDir::Store, addr, out.len());
+        Ok(())
     }
 
     /// Reads a register without emitting a trace event (for inspection
@@ -307,7 +310,8 @@ impl<S: TraceSink> Vpu<S> {
         kind.charge(&mut self.stats, 1);
     }
 
-    /// Offers an in-flight vector to the sink's fault-injection hook
+    /// Offers the routed half of the scratch — the in-flight vector of
+    /// the current beat — to the sink's fault-injection hook
     /// ([`TraceSink::fault_data`]). With the default [`NopSink`] the
     /// enabled check is a constant `false`, so the whole call compiles
     /// away on the untraced path. Corrupted words re-enter a modular
@@ -315,31 +319,28 @@ impl<S: TraceSink> Vpu<S> {
     /// captured back into `[0, q)` here; only the register-file *read*
     /// site (the store interface, which leaves the datapath) carries
     /// raw out-of-range words.
-    fn fault_hook(&mut self, site: FaultSite, data: &mut [u64]) {
+    fn hook_routed(&mut self, site: FaultSite) {
         if self.sink.fault_hooks_enabled() {
-            self.sink
-                .fault_data(self.track, self.stats.total(), site, data);
             let q = self.regs.modulus();
-            for x in data.iter_mut() {
+            let routed = &mut self.scratch[..self.regs.lanes()];
+            self.sink
+                .fault_data(self.track, self.stats.total(), site, routed);
+            for x in routed {
                 *x = q.reduce_u64(*x);
             }
         }
     }
 
-    /// [`fault_hook`](Self::fault_hook) applied in place to a register —
-    /// used where a lane stage writes its result back before the next
+    /// [`hook_routed`](Self::hook_routed) applied to a register — used
+    /// where a lane stage writes its result back before the next
     /// observable boundary (butterfly outputs). The read/modify/write
     /// only happens when a fault-injecting sink is attached.
-    fn fault_hook_reg(&mut self, site: FaultSite, addr: usize) -> Result<(), CoreError> {
+    fn hook_reg(&mut self, site: FaultSite, addr: usize) -> Result<(), CoreError> {
         if self.sink.fault_hooks_enabled() {
-            let mut data = self.regs.read(addr)?.to_vec();
-            self.sink
-                .fault_data(self.track, self.stats.total(), site, &mut data);
-            let q = self.regs.modulus();
-            for x in &mut data {
-                *x = q.reduce_u64(*x);
-            }
-            self.regs.write(addr, &data)?;
+            let m = self.lanes();
+            self.scratch[..m].copy_from_slice(self.regs.read(addr)?);
+            self.hook_routed(site);
+            self.regs.write(addr, &self.scratch[..m])?;
         }
         Ok(())
     }
@@ -394,6 +395,30 @@ impl<S: TraceSink> Vpu<S> {
         Ok(())
     }
 
+    /// One network-only beat: register `src` (or, for `None`, the
+    /// gathered half of the scratch) crosses the network into the routed
+    /// half, passes the fault hook, and `commit` writes it back.
+    fn network_beat(
+        &mut self,
+        src: Option<usize>,
+        cg: Option<CgDirection>,
+        shifts: Option<&ShiftControls>,
+        commit: impl FnOnce(&mut LaneArray, &[u64]) -> Result<(), CoreError>,
+    ) -> Result<(), CoreError> {
+        let m = self.lanes();
+        let kind = NetKind::of(cg, shifts.is_some());
+        let (routed, gathered) = self.scratch.split_at_mut(m);
+        let input = match src {
+            Some(addr) => self.regs.read(addr)?,
+            None => gathered,
+        };
+        self.network.traverse_into(input, cg, shifts, routed);
+        self.hook_routed(FaultSite::from_net(kind));
+        commit(&mut self.regs, &self.scratch[..m])?;
+        self.beat(BeatKind::NetworkMove(kind));
+        Ok(())
+    }
+
     /// Routes `src` through the network into `dst` (one network-only beat,
     /// arithmetic units idle).
     ///
@@ -401,12 +426,26 @@ impl<S: TraceSink> Vpu<S> {
     ///
     /// Bad register address.
     pub fn route(&mut self, dst: usize, src: usize, pass: &NetworkPass) -> Result<(), CoreError> {
-        let data = self.regs.read(src)?.to_vec();
-        let mut out = self.network.traverse(&data, pass);
-        self.fault_hook(FaultSite::from_net(NetKind::from_pass(pass)), &mut out);
-        self.regs.write(dst, &out)?;
-        self.beat(BeatKind::NetworkMove(NetKind::from_pass(pass)));
-        Ok(())
+        self.network_beat(Some(src), pass.cg, pass.shifts.as_ref(), |regs, out| {
+            regs.write(dst, out)
+        })
+    }
+
+    /// [`route`](Self::route) through the shift stages only, under a
+    /// borrowed control word — what compiled plans replay per column.
+    ///
+    /// # Errors
+    ///
+    /// Bad register address.
+    pub fn route_shift(
+        &mut self,
+        dst: usize,
+        src: usize,
+        controls: &ShiftControls,
+    ) -> Result<(), CoreError> {
+        self.network_beat(Some(src), None, Some(controls), |regs, out| {
+            regs.write(dst, out)
+        })
     }
 
     /// Routes `src` through the shift network and scatters the result with
@@ -422,12 +461,9 @@ impl<S: TraceSink> Vpu<S> {
         pass: &NetworkPass,
         addrs: &[usize],
     ) -> Result<(), CoreError> {
-        let data = self.regs.read(src)?.to_vec();
-        let mut out = self.network.traverse(&data, pass);
-        self.fault_hook(FaultSite::from_net(NetKind::from_pass(pass)), &mut out);
-        self.regs.write_per_lane(addrs, &out)?;
-        self.beat(BeatKind::NetworkMove(NetKind::from_pass(pass)));
-        Ok(())
+        self.network_beat(Some(src), pass.cg, pass.shifts.as_ref(), |regs, out| {
+            regs.write_per_lane(addrs, out)
+        })
     }
 
     /// Gathers per-lane-addressed registers, routes through the network,
@@ -443,12 +479,12 @@ impl<S: TraceSink> Vpu<S> {
         addrs: &[usize],
         pass: &NetworkPass,
     ) -> Result<(), CoreError> {
-        let data = self.regs.read_per_lane(addrs)?;
-        let mut out = self.network.traverse(&data, pass);
-        self.fault_hook(FaultSite::from_net(NetKind::from_pass(pass)), &mut out);
-        self.regs.write(dst, &out)?;
-        self.beat(BeatKind::NetworkMove(NetKind::from_pass(pass)));
-        Ok(())
+        let m = self.lanes();
+        self.regs
+            .read_per_lane_into(addrs, &mut self.scratch[m..])?;
+        self.network_beat(None, pass.cg, pass.shifts.as_ref(), |regs, out| {
+            regs.write(dst, out)
+        })
     }
 
     /// Uniform cyclic rotation of a register by `t` lanes (one
@@ -459,7 +495,7 @@ impl<S: TraceSink> Vpu<S> {
     /// Bad register address.
     pub fn rotate(&mut self, dst: usize, src: usize, t: u64) -> Result<(), CoreError> {
         let controls = ShiftControls::from_rotation(self.lanes(), t);
-        self.route(dst, src, &NetworkPass::shift(controls))
+        self.route_shift(dst, src, &controls)
     }
 
     /// Applies a merged automorphism-plus-shift `i ↦ i·g + t mod m` to a
@@ -477,7 +513,25 @@ impl<S: TraceSink> Vpu<S> {
         t: u64,
     ) -> Result<(), CoreError> {
         let controls = self.control_table.merged(g, t)?;
-        self.route(dst, src, &NetworkPass::shift(controls))
+        self.route_shift(dst, src, &controls)
+    }
+
+    /// The CG route of a Pease stage, in place on `addr` via the scratch.
+    fn cg_stage(
+        &mut self,
+        addr: usize,
+        direction: CgDirection,
+        group: usize,
+    ) -> Result<(), CoreError> {
+        let m = self.lanes();
+        self.network.cg_pass_grouped_into(
+            self.regs.read(addr)?,
+            direction,
+            group,
+            &mut self.scratch[..m],
+        );
+        self.hook_routed(FaultSite::NetworkCg);
+        self.regs.write(addr, &self.scratch[..m])
     }
 
     /// Executes one Pease constant-geometry NTT stage in a single beat:
@@ -500,22 +554,16 @@ impl<S: TraceSink> Vpu<S> {
     ) -> Result<(), CoreError> {
         match stage {
             PeaseStage::Forward { twiddles } => {
-                let data = self.regs.read(addr)?.to_vec();
-                let mut routed = self.network.cg_pass_grouped(&data, CgDirection::Dif, group);
-                self.fault_hook(FaultSite::NetworkCg, &mut routed);
-                self.regs.write(addr, &routed)?;
+                self.cg_stage(addr, CgDirection::Dif, group)?;
                 self.regs
                     .butterfly_adjacent(addr, ButterflyKind::Dif, twiddles)?;
-                self.fault_hook_reg(FaultSite::LaneButterfly, addr)?;
+                self.hook_reg(FaultSite::LaneButterfly, addr)?;
             }
             PeaseStage::Inverse { twiddles } => {
                 self.regs
                     .butterfly_adjacent(addr, ButterflyKind::Dit, twiddles)?;
-                self.fault_hook_reg(FaultSite::LaneButterfly, addr)?;
-                let data = self.regs.read(addr)?.to_vec();
-                let mut routed = self.network.cg_pass_grouped(&data, CgDirection::Dit, group);
-                self.fault_hook(FaultSite::NetworkCg, &mut routed);
-                self.regs.write(addr, &routed)?;
+                self.hook_reg(FaultSite::LaneButterfly, addr)?;
+                self.cg_stage(addr, CgDirection::Dit, group)?;
             }
         }
         self.beat(BeatKind::Butterfly);
@@ -533,23 +581,24 @@ impl<S: TraceSink> Vpu<S> {
     pub fn reduce_sum(&mut self, dst: usize, src: usize, scratch: usize) -> Result<(), CoreError> {
         let m = self.lanes();
         if dst != src {
-            let data = self.regs.read(src)?.to_vec();
-            self.regs.write(dst, &data)?;
+            self.scratch[..m].copy_from_slice(self.regs.read(src)?);
+            self.regs.write(dst, &self.scratch[..m])?;
         }
         let mut d = m / 2;
         while d >= 1 {
             let controls = ShiftControls::from_rotation(m, d as u64);
-            let data = self.regs.read(dst)?.to_vec();
-            let mut rotated = self.network.shift_pass(&data, &controls);
-            self.fault_hook(FaultSite::NetworkShift, &mut rotated);
-            self.regs.write(scratch, &rotated)?;
+            self.network.traverse_into(
+                self.regs.read(dst)?,
+                None,
+                Some(&controls),
+                &mut self.scratch[..m],
+            );
+            self.hook_routed(FaultSite::NetworkShift);
+            self.regs.write(scratch, &self.scratch[..m])?;
             self.regs.ewise_add(dst, dst, scratch)?;
             // Rotate-and-add is one fused beat: the adder consumes the
             // network output directly.
             self.beat(BeatKind::Elementwise(EwiseOp::RotateAdd));
-            if d == 1 {
-                break;
-            }
             d /= 2;
         }
         Ok(())
@@ -557,6 +606,7 @@ impl<S: TraceSink> Vpu<S> {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 

@@ -293,12 +293,15 @@ pub fn root_of_unity(q: &Modulus, order: u64) -> Result<u64, MathError> {
 pub fn min_root_of_unity(q: &Modulus, order: u64) -> Result<u64, MathError> {
     let root = root_of_unity(q, order)?;
     // All primitive order-th roots are root^k for k co-prime with order;
-    // scan for the smallest. `order` is small (≤ 2^21 in practice).
+    // scan for the smallest. `order` is small (≤ 2^21 in practice). The
+    // value test comes first — it rarely passes, so the co-primality
+    // test (a parity check when `order` is a power of two) rarely runs.
+    let pow2 = order.is_power_of_two();
     let mut best = root;
     let mut pow = 1u64;
     for k in 1..order {
         pow = q.mul(pow, root);
-        if gcd(k, order) == 1 && pow < best {
+        if pow < best && (if pow2 { k & 1 == 1 } else { gcd(k, order) == 1 }) {
             best = pow;
         }
     }
@@ -412,6 +415,57 @@ mod tests {
         for c in 2..w {
             let ok = q.pow(c, 8) == 1 && q.pow(c, 4) != 1 && q.pow(c, 2) != 1 && c != 1;
             assert!(!ok, "found smaller primitive root {c}");
+        }
+    }
+
+    #[test]
+    fn min_roots_are_pinned() {
+        // Every NTT table, VPU plan and digest hangs off the chosen 2n-th
+        // root: (log2 n, prime, root) for the benchmark's 50-bit simulator
+        // primes at n = 2^10 … 2^16, then for its CKKS chain (40-bit) and
+        // special (58-bit) primes at n = 2^13 and 2^15.
+        let pinned: [(u32, u64, u64); 17] = [
+            (10, 1125899906826241, 816736452416),
+            (11, 1125899906826241, 1080667890455),
+            (12, 1125899906826241, 46909545429),
+            (13, 1125899906826241, 11286399139),
+            (14, 1125899904679937, 184459094098),
+            (15, 1125899904679937, 26113207984),
+            (16, 1125899903827969, 938640682),
+            (13, 1099511480321, 30370987),
+            (13, 1099510890497, 5405730),
+            (13, 1099510824961, 38269060),
+            (13, 1099510054913, 27512678),
+            (13, 1099510005761, 206358744),
+            (13, 288230376150876161, 31566079753753),
+            (15, 1099510054913, 121567553),
+            (15, 1099507695617, 16784287),
+            (15, 1099506515969, 6793587),
+            (15, 288230376147582977, 33474449150541),
+        ];
+        for (log_n, p, root) in pinned {
+            let q = Modulus::new(p).unwrap();
+            assert_eq!(min_root_of_unity(&q, 2 << log_n).unwrap(), root, "q={p}");
+        }
+        // The pinned primes are the ones the parameter generators pick.
+        let primes = |rows: &[(u32, u64, u64)]| rows.iter().map(|r| r.1).collect::<Vec<_>>();
+        for (i, log_n) in (10..=16).enumerate() {
+            assert_eq!(ntt_prime(50, 1 << log_n).unwrap(), pinned[i].1);
+        }
+        assert_eq!(
+            ntt_prime_chain(40, 1 << 13, 5).unwrap(),
+            primes(&pinned[7..12])
+        );
+        assert_eq!(ntt_prime(58, 1 << 13).unwrap(), pinned[12].1);
+        assert_eq!(
+            ntt_prime_chain(40, 1 << 15, 3).unwrap(),
+            primes(&pinned[13..16])
+        );
+        assert_eq!(ntt_prime(58, 1 << 15).unwrap(), pinned[16].1);
+        // Orders that are not powers of two keep the generic gcd path.
+        let q = Modulus::new(97).unwrap();
+        for (order, root) in [(3u64, 35u64), (6, 36), (12, 6), (24, 4), (48, 2), (96, 5)] {
+            assert_eq!(min_root_of_unity(&q, order).unwrap(), root, "order {order}");
         }
     }
 }

@@ -348,6 +348,76 @@ where
     }
 }
 
+/// Runs `f(ctx, index, piece)` over the consecutive `chunk`-element
+/// pieces of `data` (the last may be shorter), **in place**: workers
+/// pull pieces from a shared queue, each with a private context built by
+/// `init`, so disjoint pieces are mutated concurrently without copying
+/// results back. Every piece is a function of its index alone, so the
+/// contents of `data` are bit-exact for any thread count.
+///
+/// Runs as a plain loop on the calling thread when the effective thread
+/// count is 1 or there is a single piece.
+///
+/// # Errors
+///
+/// The error of the lowest-indexed failing piece (pieces are handed out
+/// in index order and a worker stops only after its own failure, so
+/// that piece is the same for any thread count).
+///
+/// # Panics
+///
+/// Panics if `chunk == 0`; panics in `f` propagate to the caller.
+pub fn par_chunks_mut_with<T, C, E, IF, F>(
+    data: &mut [T],
+    chunk: usize,
+    init: IF,
+    f: F,
+) -> Result<(), E>
+where
+    T: Send,
+    E: Send,
+    IF: Fn() -> C + Sync,
+    F: Fn(&mut C, usize, &mut [T]) -> Result<(), E> + Sync,
+{
+    let threads = max_threads().min(data.len().div_ceil(chunk));
+    if threads <= 1 {
+        let mut ctx = init();
+        return data
+            .chunks_mut(chunk)
+            .enumerate()
+            .try_for_each(|(i, piece)| f(&mut ctx, i, piece));
+    }
+    let queue = Mutex::new(data.chunks_mut(chunk).enumerate());
+    let failures: Vec<Option<(usize, E)>> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                s.spawn(|| {
+                    let _hooks = enter_worker();
+                    let mut ctx = init();
+                    loop {
+                        let next = lock(&queue).next();
+                        let (i, piece) = next?;
+                        if let Err(e) = f(&mut ctx, i, piece) {
+                            return Some((i, e));
+                        }
+                    }
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| match h.join() {
+                Ok(failure) => failure,
+                Err(panic) => std::panic::resume_unwind(panic),
+            })
+            .collect()
+    });
+    match failures.into_iter().flatten().min_by_key(|(i, _)| *i) {
+        Some((_, e)) => Err(e),
+        None => Ok(()),
+    }
+}
+
 /// Consuming parallel map: moves each element of `items` into `f`
 /// exactly once, returning results in the original order.
 ///
@@ -517,6 +587,37 @@ mod tests {
         with_threads(1, || par_map_indexed_into(37, |i| i + 1, &mut out));
         assert_eq!(out.as_ptr(), before, "sequential fill must not realloc");
         assert_eq!(out[36], 37);
+    }
+
+    #[test]
+    fn par_chunks_mut_fills_in_place_and_reports_the_first_failure() {
+        for threads in [1, 2, 4, 7] {
+            let mut data = vec![0usize; 103];
+            let done: Result<(), usize> = with_threads(threads, || {
+                par_chunks_mut_with(
+                    &mut data,
+                    10,
+                    || (),
+                    |(), i, piece| {
+                        for (j, x) in piece.iter_mut().enumerate() {
+                            *x = i * 10 + j;
+                        }
+                        Ok(())
+                    },
+                )
+            });
+            assert_eq!(done, Ok(()));
+            assert_eq!(data, (0..103).collect::<Vec<_>>(), "threads = {threads}");
+            let failed = with_threads(threads, || {
+                par_chunks_mut_with(
+                    &mut data,
+                    10,
+                    || (),
+                    |(), i, _| if i >= 3 { Err(i) } else { Ok(()) },
+                )
+            });
+            assert_eq!(failed, Err(3), "threads = {threads}");
+        }
     }
 
     #[test]

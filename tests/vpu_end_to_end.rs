@@ -118,3 +118,30 @@ fn every_operation_reports_consistent_cycle_stats() {
     // Ideal beats are a lower bound on compute beats.
     assert!(ntt.stats.compute() >= plan.ideal_compute_beats(true) - 1);
 }
+
+#[test]
+fn ideal_beats_bound_partial_columns_too() {
+    // A transform shorter than the VPU still occupies one (partial)
+    // column, so its ideal beat count is positive and stays a lower
+    // bound on the compute beats actually charged.
+    for (n, m) in [(32usize, 64usize), (2, 64)] {
+        let q = modulus(n);
+        let plan = NttPlan::new(q, n, m).expect("plan");
+        let mut vpu = Vpu::new(m, q, 8).expect("vpu");
+        let data: Vec<u64> = (0..n as u64).collect();
+        for negacyclic in [false, true] {
+            let run = if negacyclic {
+                plan.execute_forward_negacyclic(&mut vpu, &data)
+            } else {
+                plan.execute_forward(&mut vpu, &data)
+            }
+            .expect("run");
+            let ideal = plan.ideal_compute_beats(negacyclic);
+            assert!(ideal > 0, "n={n}");
+            assert!(
+                run.stats.compute() >= ideal,
+                "n={n} negacyclic={negacyclic}"
+            );
+        }
+    }
+}
