@@ -9,9 +9,9 @@
 //! structurally-ready tasks by `(kind, n)` shape into *waves*, and
 //! executes each wave as one fanned-out dispatch:
 //!
-//! - the shared kernel plan (NTT tables, automorphism control bits) is
-//!   resolved **once per wave** through the shape memo
-//!   ([`ShapeMemo`]) instead of once per task;
+//! - the kernel shape (NTT tables, automorphism control bits) is
+//!   measured **once** into the shape memo ([`ShapeMemo`]), not once
+//!   per task;
 //! - keyswitch digit products of distinct ciphertexts ride the same
 //!   wave, so the twiddle/key operand stream is fetched once per VPU
 //!   slot and every same-shape follower on that slot skips the
@@ -20,6 +20,10 @@
 //!   (earliest-free-slot within the wave, ties to the lowest slot), so
 //!   lanes a single ciphertext leaves idle are filled by its
 //!   neighbours' limbs.
+//!
+//! Waves are one order of the crate's single scheduling core; the
+//! sequential references run the same core once per request in
+//! submission order and lay the calls end to end.
 //!
 //! **Determinism contract.** Batched execution is *bit-identical* to
 //! per-request sequential execution in everything a client can observe:
@@ -35,10 +39,9 @@ use crate::config::AcceleratorConfig;
 use crate::graph::TaskGraph;
 use crate::machine::{AccelReport, Accelerator};
 use crate::recovery::{RetryPolicy, TaskExecutor};
-use crate::workload::{premeasure_into, FheOp, ShapeMemo, Task, TaskKind};
+use crate::sched::{self, Order, Pricing};
+use crate::workload::{FheOp, ShapeMemo, Task, TaskKind};
 use crate::AccelError;
-use uvpu_core::stats::CycleStats;
-use uvpu_core::trace;
 
 /// One independent request: an id for reporting plus its task DAG.
 #[derive(Debug, Clone)]
@@ -59,11 +62,10 @@ impl BatchRequest {
     /// A request of independent tasks (no dependency edges).
     #[must_use]
     pub fn from_tasks(id: u64, tasks: &[Task]) -> Self {
-        let mut graph = TaskGraph::new();
-        for t in tasks {
-            graph.add(*t, &[]);
+        Self {
+            id,
+            graph: TaskGraph::flat(tasks),
         }
-        Self { id, graph }
     }
 
     /// A request lowering one homomorphic operation to its RNS tasks.
@@ -118,8 +120,9 @@ pub struct RequestSlice {
     pub id: u64,
     /// Tasks the request contributed.
     pub task_count: usize,
-    /// Pipeline cycles its tasks consumed (final attempts, plus
-    /// detector and retry cycles on the recovery path).
+    /// Lane-busy cycles of every attempt of its tasks: pipeline plus
+    /// detector cycles, retries included, backoff excluded. The slices
+    /// sum to [`BatchReport::busy_lane_cycles`].
     pub compute_cycles: u64,
     /// Cycle at which the request's last task finished.
     pub finish: u64,
@@ -178,23 +181,6 @@ pub fn ratio_ppm(part: u64, whole: u64) -> u64 {
     }
 }
 
-/// Where a task of the wave plan came from.
-#[derive(Debug, Clone, Copy)]
-struct Member {
-    /// Request index in the submitted slice.
-    req: usize,
-    /// Task index inside that request's graph.
-    idx: usize,
-}
-
-/// A planned wave: the shape plus its members in coalescing order.
-#[derive(Debug, Clone)]
-struct Wave {
-    kind: TaskKind,
-    n: usize,
-    members: Vec<Member>,
-}
-
 /// The cross-request throughput executor.
 ///
 /// Construction validates the accelerator configuration once; the
@@ -222,62 +208,6 @@ impl BatchScheduler {
         &self.config
     }
 
-    /// Forms the wave plan: tasks are layered into structural rounds
-    /// (a task's round is one past its deepest predecessor's), and
-    /// within a round grouped by `(kind, n)` shape in first-occurrence
-    /// `(request, task)` order. Pure graph structure — no measured
-    /// cycles — so the plan is trivially thread-count invariant.
-    fn plan_waves(requests: &[BatchRequest]) -> Vec<Wave> {
-        let mut waves: Vec<Wave> = Vec::new();
-        // Per-request round of each task (predecessors always have
-        // lower indices, so one forward pass suffices).
-        let rounds: Vec<Vec<usize>> = requests
-            .iter()
-            .map(|r| {
-                let mut rounds = vec![0usize; r.graph.len()];
-                for i in 0..r.graph.len() {
-                    rounds[i] = r
-                        .graph
-                        .preds(i)
-                        .iter()
-                        .map(|&p| rounds[p] + 1)
-                        .max()
-                        .unwrap_or(0);
-                }
-                rounds
-            })
-            .collect();
-        let max_round = rounds
-            .iter()
-            .flat_map(|r| r.iter().copied())
-            .max()
-            .unwrap_or(0);
-        for round in 0..=max_round {
-            let round_base = waves.len();
-            let mut shape_wave: std::collections::HashMap<(TaskKind, usize), usize> =
-                std::collections::HashMap::new();
-            for (req, request) in requests.iter().enumerate() {
-                for (idx, task) in request.graph.tasks().iter().enumerate() {
-                    if rounds[req][idx] != round {
-                        continue;
-                    }
-                    let shape = (task.kind, task.n);
-                    let wave_at = *shape_wave.entry(shape).or_insert_with(|| {
-                        waves.push(Wave {
-                            kind: task.kind,
-                            n: task.n,
-                            members: Vec::new(),
-                        });
-                        waves.len() - 1
-                    });
-                    waves[wave_at].members.push(Member { req, idx });
-                }
-            }
-            debug_assert!(waves[round_base..].iter().all(|w| !w.members.is_empty()));
-        }
-        waves
-    }
-
     /// Executes `requests` as shape-coalesced waves on the fault-free
     /// machine model. Kernel shapes already present in `memo` are not
     /// re-measured; missing shapes are measured once and inserted.
@@ -294,7 +224,7 @@ impl BatchScheduler {
         requests: &[BatchRequest],
         memo: &mut ShapeMemo,
     ) -> Result<BatchReport, AccelError> {
-        self.execute(requests, memo, &mut None)
+        self.batched(requests, Pricing::Memo(memo))
     }
 
     /// Executes `requests` as waves through a [`TaskExecutor`] under
@@ -320,14 +250,12 @@ impl BatchScheduler {
         exec: &mut dyn TaskExecutor,
         policy: &RetryPolicy,
     ) -> Result<BatchReport, AccelError> {
-        let mut memo = ShapeMemo::new();
-        let mut recovery = Some((exec, *policy));
-        self.execute(requests, &mut memo, &mut recovery)
+        self.batched(requests, Pricing::Executor(exec, policy))
     }
 
     /// Sequential reference: each request scheduled alone, one after
-    /// another, through the per-request DAG scheduler — the exact
-    /// baseline the occupancy win is measured against. Wave list is
+    /// another, as [`TaskGraph::schedule_memoized`] schedules it — the
+    /// exact baseline the occupancy win is measured against. Wave list is
     /// empty; slices and aggregate statistics line up with
     /// [`BatchScheduler::run`] for comparison.
     ///
@@ -339,62 +267,20 @@ impl BatchScheduler {
         requests: &[BatchRequest],
         memo: &mut ShapeMemo,
     ) -> Result<BatchReport, AccelError> {
-        let v = self.config.vpu_count;
-        let mut per_request = Vec::with_capacity(requests.len());
-        let mut makespan = 0u64;
-        let mut vpu_busy = vec![0u64; v];
-        let mut agg = CycleStats::new();
-        let mut noc_cycles = 0u64;
-        let mut traffic = 0u64;
-        let mut task_count = 0usize;
-        let mut memo_hits = 0u64;
-        let mut memo_misses = 0u64;
-        for request in requests {
-            let report = request.graph.schedule_memoized(&self.config, memo)?;
-            per_request.push(RequestSlice {
-                id: request.id,
-                task_count: report.task_count,
-                compute_cycles: report.vpu_stats.total(),
-                finish: makespan + report.makespan,
-                task_digests: Vec::new(),
-            });
-            makespan += report.makespan;
-            for (slot, busy) in report.vpu_busy.iter().enumerate() {
-                vpu_busy[slot] += busy;
-            }
-            agg += report.vpu_stats;
-            noc_cycles += report.noc_cycles;
-            traffic += report.sram_traffic_bytes;
-            task_count += report.task_count;
-            memo_hits += report.memo_hits;
-            memo_misses += report.memo_misses;
-        }
-        let busy_lane_cycles = vpu_busy.iter().sum();
-        Ok(BatchReport {
-            report: AccelReport {
-                makespan,
-                vpu_busy,
-                vpu_stats: agg,
-                noc_cycles,
-                sram_traffic_bytes: traffic,
-                task_count,
-                memo_hits,
-                memo_misses,
-            },
-            per_request,
-            waves: Vec::new(),
-            busy_lane_cycles,
-            total_lane_cycles: makespan * v as u64,
-            retries: 0,
-            detected_faults: 0,
-            quarantined_slots: Vec::new(),
+        self.sequential(requests, |graph| {
+            sched::run(
+                &self.config,
+                &[graph],
+                Order::Submission,
+                Pricing::Memo(memo),
+            )
         })
     }
 
-    /// Sequential reference of the recovery path: each request runs
-    /// alone through
+    /// Sequential reference of the recovery path: each request's tasks
+    /// run alone, without edges, as
     /// [`run_tasks_with_recovery`](Accelerator::run_tasks_with_recovery)
-    /// in submission order — the digest oracle for the batch
+    /// runs them, in submission order — the digest oracle for the batch
     /// determinism contract.
     ///
     /// # Errors
@@ -406,343 +292,65 @@ impl BatchScheduler {
         exec: &mut dyn TaskExecutor,
         policy: &RetryPolicy,
     ) -> Result<BatchReport, AccelError> {
-        let v = self.config.vpu_count;
-        let mut accel = Accelerator::new(self.config)?;
-        let mut per_request = Vec::with_capacity(requests.len());
-        let mut makespan = 0u64;
-        let mut vpu_busy = vec![0u64; v];
-        let mut agg = CycleStats::new();
-        let mut noc_cycles = 0u64;
-        let mut traffic = 0u64;
-        let mut task_count = 0usize;
-        let mut retries = 0u64;
-        let mut detected = 0u64;
-        for request in requests {
-            let rec = accel.run_tasks_with_recovery(request.graph.tasks(), exec, policy)?;
-            per_request.push(RequestSlice {
-                id: request.id,
-                task_count: rec.report.task_count,
-                compute_cycles: rec.report.vpu_stats.total() + rec.check_cycles,
-                finish: makespan + rec.report.makespan,
-                task_digests: rec.task_digests,
-            });
-            makespan += rec.report.makespan;
-            for (slot, busy) in rec.report.vpu_busy.iter().enumerate() {
-                vpu_busy[slot] += busy;
-            }
-            agg += rec.report.vpu_stats;
-            noc_cycles += rec.report.noc_cycles;
-            traffic += rec.report.sram_traffic_bytes;
-            task_count += rec.report.task_count;
-            retries += rec.retries;
-            detected += rec.detected_faults;
-        }
-        let busy_lane_cycles = vpu_busy.iter().sum();
-        Ok(BatchReport {
-            report: AccelReport {
-                makespan,
-                vpu_busy,
-                vpu_stats: agg,
-                noc_cycles,
-                sram_traffic_bytes: traffic,
-                task_count,
-                memo_hits: 0,
-                memo_misses: task_count as u64,
-            },
-            per_request,
-            waves: Vec::new(),
-            busy_lane_cycles,
-            total_lane_cycles: makespan * v as u64,
-            retries,
-            detected_faults: detected,
-            quarantined_slots: Vec::new(),
+        self.sequential(requests, |graph| {
+            let flat = TaskGraph::flat(graph.tasks());
+            let pricing = Pricing::Executor(exec, policy);
+            sched::run(&self.config, &[&flat], Order::Submission, pricing)
         })
     }
 
-    /// The shared wave execution core. `recovery` selects the path:
-    /// `None` prices tasks from the memo (fault-free model), `Some`
-    /// runs every attempt through the executor with retry/quarantine.
-    #[allow(clippy::too_many_lines)]
-    fn execute(
+    /// One core call over every request in wave order, with request ids
+    /// attached to the slices.
+    fn batched(
         &self,
         requests: &[BatchRequest],
-        memo: &mut ShapeMemo,
-        recovery: &mut Option<(&mut dyn TaskExecutor, RetryPolicy)>,
+        pricing: Pricing<'_>,
     ) -> Result<BatchReport, AccelError> {
-        let v = self.config.vpu_count;
-        for request in requests {
-            for t in request.graph.tasks() {
-                if t.noc_bytes > self.config.sram_bytes {
-                    return Err(AccelError::SramOverflow {
-                        needed: t.noc_bytes,
-                        capacity: self.config.sram_bytes,
-                    });
-                }
-            }
+        let graphs: Vec<&TaskGraph> = requests.iter().map(|r| &r.graph).collect();
+        let (mut batch, _) = sched::run(&self.config, &graphs, Order::Waves, pricing)?;
+        for (slice, request) in batch.per_request.iter_mut().zip(requests) {
+            slice.id = request.id;
         }
-        if recovery.is_none() {
-            let all: Vec<Task> = requests
-                .iter()
-                .flat_map(|r| r.graph.tasks().iter().copied())
-                .collect();
-            premeasure_into(&all, self.config.lanes, memo)?;
-        }
-        let waves = Self::plan_waves(requests);
-        let mut vpu_free = vec![0u64; v];
-        let mut vpu_busy = vec![0u64; v];
-        let mut quarantined = vec![false; v];
-        let mut slot_faults = vec![0u32; v];
-        let mut quarantine_order = Vec::new();
-        let mut agg = CycleStats::new();
-        let mut noc_cycles = 0u64;
-        let mut traffic = 0u64;
-        let mut memo_hits = 0u64;
-        let mut memo_misses = 0u64;
-        let mut retries_total = 0u64;
-        let mut detected_total = 0u64;
-        let mut seen_shapes: std::collections::HashSet<(TaskKind, usize)> =
-            std::collections::HashSet::new();
-        // Per (request, task) completion time and digest.
-        let mut finish: Vec<Vec<u64>> =
-            requests.iter().map(|r| vec![0u64; r.graph.len()]).collect();
-        let mut digests: Vec<Vec<u64>> =
-            requests.iter().map(|r| vec![0u64; r.graph.len()]).collect();
-        let mut compute_per_req = vec![0u64; requests.len()];
-        let mut wave_stats = Vec::with_capacity(waves.len());
-        let tracing = trace::global_enabled();
-        if tracing {
-            // Per-slot `accel.batch` parents, matching the span grammar
-            // of the per-request schedulers, plus additive `wave.*`
-            // spans on the track one past the slots.
-            for slot in 0..v {
-                trace::global_span_begin_at(slot as u32, "accel.batch", 0);
-            }
-        }
-        let earliest_healthy = |free: &[u64], quarantined: &[bool]| -> usize {
-            free.iter()
-                .enumerate()
-                .filter(|&(i, _)| !quarantined[i])
-                .min_by_key(|&(_, &t)| t)
-                .map(|(i, _)| i)
-                .unwrap_or(0)
-        };
-        for wave in &waves {
-            let shape = (wave.kind, wave.n);
-            // Shared plan resolution: one memo lookup per wave. On the
-            // recovery path the executor prices its own attempts, so
-            // the memo stats are only the model-path cost source.
-            let wave_cost = memo.get(&shape).copied();
-            let shared = shared_stream_bytes(wave.kind, wave.n);
-            let mut wave_start = u64::MAX;
-            let mut wave_end = 0u64;
-            let mut stream_saved = 0u64;
-            // Slots that already fetched this wave's shared stream.
-            let mut stream_resident = vec![false; v];
-            let mut slots_used: std::collections::BTreeSet<usize> =
-                std::collections::BTreeSet::new();
-            for member in &wave.members {
-                let task = requests[member.req].graph.tasks()[member.idx];
-                if seen_shapes.insert(shape) {
-                    memo_misses += 1;
-                } else {
-                    memo_hits += 1;
-                }
-                let ready_at = requests[member.req]
-                    .graph
-                    .preds(member.idx)
-                    .iter()
-                    .map(|&p| finish[member.req][p])
-                    .max()
-                    .unwrap_or(0);
-                let mut slot = earliest_healthy(&vpu_free, &quarantined);
-                let mut first_issue = u64::MAX;
-                let end = match recovery.as_mut() {
-                    None => {
-                        let stats = wave_cost.unwrap_or_else(CycleStats::new);
-                        let hops = slot % (v / 2 + 1) + 1;
-                        let saved = if stream_resident[slot] {
-                            shared.min(task.noc_bytes)
-                        } else {
-                            0
-                        };
-                        let bytes = task.noc_bytes - saved;
-                        let transfer = self.noc_cycles_for(bytes, hops);
-                        let start = vpu_free[slot].max(ready_at);
-                        first_issue = start;
-                        let compute = stats.total();
-                        let end = start + transfer + compute;
-                        if tracing {
-                            let track = slot as u32;
-                            trace::global_span_at(track, "noc.transfer", start, start + transfer);
-                            trace::global_span_at(
-                                track,
-                                &format!("task.{} n={}", task.kind.name(), task.n),
-                                start + transfer,
-                                end,
-                            );
-                        }
-                        vpu_free[slot] = end;
-                        vpu_busy[slot] += compute;
-                        noc_cycles += transfer;
-                        traffic += bytes as u64;
-                        stream_saved += saved as u64;
-                        stream_resident[slot] = true;
-                        agg += stats;
-                        compute_per_req[member.req] += compute;
-                        end
-                    }
-                    Some((exec, policy)) => {
-                        let policy = *policy;
-                        let mut end = 0u64;
-                        let mut done = false;
-                        for attempt in 0..=policy.max_retries {
-                            if quarantined[slot] {
-                                slot = earliest_healthy(&vpu_free, &quarantined);
-                            }
-                            if attempt > 0 {
-                                vpu_free[slot] += policy.backoff_cycles;
-                                retries_total += 1;
-                                compute_per_req[member.req] += policy.backoff_cycles;
-                            }
-                            let hops = slot % (v / 2 + 1) + 1;
-                            // First attempts share the wave's operand
-                            // stream; retries re-fetch everything.
-                            let saved = if attempt == 0 && stream_resident[slot] {
-                                shared.min(task.noc_bytes)
-                            } else {
-                                0
-                            };
-                            let bytes = task.noc_bytes - saved;
-                            let transfer = self.noc_cycles_for(bytes, hops);
-                            let outcome = exec.execute(&task, slot, attempt)?;
-                            let compute = outcome.stats.total() + outcome.check_cycles;
-                            let start = vpu_free[slot].max(ready_at);
-                            if attempt == 0 {
-                                first_issue = start;
-                            }
-                            if tracing {
-                                let track = slot as u32;
-                                trace::global_span_at(
-                                    track,
-                                    "noc.transfer",
-                                    start,
-                                    start + transfer,
-                                );
-                                let label = if attempt == 0 { "task" } else { "retry" };
-                                trace::global_span_at(
-                                    track,
-                                    &format!("{label}.{} n={}", task.kind.name(), task.n),
-                                    start + transfer,
-                                    start + transfer + compute,
-                                );
-                            }
-                            vpu_free[slot] = start + transfer + compute;
-                            vpu_busy[slot] += compute;
-                            noc_cycles += transfer;
-                            traffic += bytes as u64;
-                            stream_saved += saved as u64;
-                            stream_resident[slot] = true;
-                            agg += outcome.stats;
-                            compute_per_req[member.req] += compute;
-                            if outcome.detected {
-                                detected_total += 1;
-                                slot_faults[slot] += 1;
-                                let healthy = quarantined.iter().filter(|&&q| !q).count();
-                                if slot_faults[slot] >= policy.quarantine_threshold && healthy > 1 {
-                                    quarantined[slot] = true;
-                                    quarantine_order.push(slot);
-                                }
-                            } else {
-                                digests[member.req][member.idx] = outcome.digest;
-                                end = vpu_free[slot];
-                                done = true;
-                                break;
-                            }
-                        }
-                        if !done {
-                            return Err(AccelError::FaultUnrecoverable {
-                                task_index: member.idx,
-                                attempts: policy.max_retries + 1,
-                            });
-                        }
-                        end
-                    }
-                };
-                finish[member.req][member.idx] = end;
-                slots_used.insert(slot);
-                wave_start = wave_start.min(first_issue);
-                wave_end = wave_end.max(end);
-            }
-            if tracing {
-                trace::global_span_at(
-                    v as u32,
-                    &format!(
-                        "wave.{} n={} tasks={}",
-                        wave.kind.name(),
-                        wave.n,
-                        wave.members.len()
-                    ),
-                    wave_start.min(wave_end),
-                    wave_end,
-                );
-            }
-            wave_stats.push(WaveStats {
-                kind: wave.kind,
-                n: wave.n,
-                tasks: wave.members.len(),
-                slots_used: slots_used.len(),
-                start: wave_start.min(wave_end),
-                end: wave_end,
-                stream_bytes_saved: stream_saved,
-            });
-        }
-        if tracing {
-            for (slot, &free_at) in vpu_free.iter().enumerate() {
-                trace::global_span_end_at(slot as u32, "accel.batch", free_at);
-            }
-        }
-        let makespan = vpu_free.iter().copied().max().unwrap_or(0);
-        let task_count: usize = requests.iter().map(|r| r.graph.len()).sum();
-        let per_request = requests
-            .iter()
-            .enumerate()
-            .map(|(req, request)| RequestSlice {
-                id: request.id,
-                task_count: request.graph.len(),
-                compute_cycles: compute_per_req[req],
-                finish: finish[req].iter().copied().max().unwrap_or(0),
-                task_digests: if recovery.is_some() {
-                    digests[req].clone()
-                } else {
-                    Vec::new()
-                },
-            })
-            .collect();
-        let busy_lane_cycles = vpu_busy.iter().sum();
-        Ok(BatchReport {
-            report: AccelReport {
-                makespan,
-                vpu_busy,
-                vpu_stats: agg,
-                noc_cycles,
-                sram_traffic_bytes: traffic,
-                task_count,
-                memo_hits,
-                memo_misses,
-            },
-            per_request,
-            waves: wave_stats,
-            busy_lane_cycles,
-            total_lane_cycles: makespan * v as u64,
-            retries: retries_total,
-            detected_faults: detected_total,
-            quarantined_slots: quarantine_order,
-        })
+        Ok(batch)
     }
 
-    fn noc_cycles_for(&self, bytes: usize, hops: usize) -> u64 {
-        bytes.div_ceil(self.config.noc_bytes_per_cycle) as u64
-            + self.config.noc_hop_latency * hops as u64
+    /// The sequential references: one `run_one` core call per request,
+    /// laid end to end on the timeline. A request's slice finishes at its
+    /// call's makespan; counters, busy cycles and memo accounting are the
+    /// sums of the per-call reports, and no quarantine carries over.
+    fn sequential(
+        &self,
+        requests: &[BatchRequest],
+        mut run_one: impl FnMut(&TaskGraph) -> Result<(BatchReport, u64), AccelError>,
+    ) -> Result<BatchReport, AccelError> {
+        let v = self.config.vpu_count;
+        let mut total = sched::empty_report(v);
+        for request in requests {
+            let (one, _) = run_one(&request.graph)?;
+            let (sum, r) = (&mut total.report, &one.report);
+            for slice in one.per_request {
+                total.per_request.push(RequestSlice {
+                    id: request.id,
+                    finish: sum.makespan + r.makespan,
+                    ..slice
+                });
+            }
+            sum.makespan += r.makespan;
+            for (busy, one) in sum.vpu_busy.iter_mut().zip(&r.vpu_busy) {
+                *busy += one;
+            }
+            sum.vpu_stats += r.vpu_stats;
+            sum.noc_cycles += r.noc_cycles;
+            sum.sram_traffic_bytes += r.sram_traffic_bytes;
+            sum.task_count += r.task_count;
+            sum.memo_hits += r.memo_hits;
+            sum.memo_misses += r.memo_misses;
+            total.busy_lane_cycles += one.busy_lane_cycles;
+            total.retries += one.retries;
+            total.detected_faults += one.detected_faults;
+        }
+        total.total_lane_cycles = total.report.makespan * v as u64;
+        Ok(total)
     }
 }
 
@@ -766,6 +374,7 @@ impl Accelerator {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use uvpu_core::stats::CycleStats;
 
     fn config(vpus: usize) -> AcceleratorConfig {
         AcceleratorConfig {
@@ -911,36 +520,38 @@ mod tests {
         }
     }
 
-    #[test]
-    fn recovery_path_confines_retries_to_wave_members() {
-        use crate::recovery::TaskAttempt;
-        // Slot 0 is persistently faulty; everything else is clean.
-        struct Flaky;
-        impl TaskExecutor for Flaky {
-            fn execute(
-                &mut self,
-                _task: &Task,
-                slot: usize,
-                _attempt: u32,
-            ) -> Result<TaskAttempt, AccelError> {
-                let bad = slot == 0;
-                let mut stats = CycleStats::new();
-                stats.elementwise = 10;
-                Ok(TaskAttempt {
-                    stats,
-                    digest: if bad { 0xbad } else { 0x900d },
-                    check_cycles: 1,
-                    detected: bad,
-                })
-            }
+    /// Slot 0 is persistently faulty; everything else is clean.
+    struct Flaky;
+
+    impl TaskExecutor for Flaky {
+        fn execute(
+            &mut self,
+            _task: &Task,
+            slot: usize,
+            _attempt: u32,
+        ) -> Result<crate::recovery::TaskAttempt, AccelError> {
+            let bad = slot == 0;
+            let mut stats = CycleStats::new();
+            stats.elementwise = 10;
+            Ok(crate::recovery::TaskAttempt {
+                stats,
+                digest: if bad { 0xbad } else { 0x900d },
+                check_cycles: 1,
+                detected: bad,
+            })
         }
-        let sched = BatchScheduler::new(config(3)).unwrap();
-        let policy = RetryPolicy {
+    }
+
+    fn flaky_policy() -> RetryPolicy {
+        RetryPolicy {
             max_retries: 3,
             backoff_cycles: 8,
             quarantine_threshold: 2,
-        };
-        let reqs: Vec<BatchRequest> = (0..4)
+        }
+    }
+
+    fn single_task_requests(count: u64) -> Vec<BatchRequest> {
+        (0..count)
             .map(|i| {
                 BatchRequest::from_tasks(
                     i,
@@ -951,8 +562,16 @@ mod tests {
                     }],
                 )
             })
-            .collect();
-        let r = sched.run_with_recovery(&reqs, &mut Flaky, &policy).unwrap();
+            .collect()
+    }
+
+    #[test]
+    fn recovery_path_confines_retries_to_wave_members() {
+        let sched = BatchScheduler::new(config(3)).unwrap();
+        let reqs = single_task_requests(4);
+        let r = sched
+            .run_with_recovery(&reqs, &mut Flaky, &flaky_policy())
+            .unwrap();
         assert_eq!(r.quarantined_slots, vec![0]);
         assert!(r.detected_faults >= 2);
         for slice in &r.per_request {
@@ -960,6 +579,50 @@ mod tests {
         }
         // Slots 1 and 2 did the real work after the quarantine.
         assert!(r.report.vpu_busy[1] + r.report.vpu_busy[2] > r.report.vpu_busy[0]);
+    }
+
+    #[test]
+    fn request_compute_sums_to_busy_lanes_on_every_path() {
+        let sched = BatchScheduler::new(config(3)).unwrap();
+        let reqs = single_task_requests(4);
+        let policy = flaky_policy();
+        let mut memo = ShapeMemo::new();
+        let runs = [
+            ("run", sched.run(&reqs, &mut memo).unwrap(), false),
+            (
+                "run_sequential",
+                sched.run_sequential(&reqs, &mut memo).unwrap(),
+                false,
+            ),
+            (
+                "run_with_recovery",
+                sched.run_with_recovery(&reqs, &mut Flaky, &policy).unwrap(),
+                true,
+            ),
+            (
+                "run_sequential_with_recovery",
+                sched
+                    .run_sequential_with_recovery(&reqs, &mut Flaky, &policy)
+                    .unwrap(),
+                true,
+            ),
+        ];
+        for (path, r, executor) in runs {
+            let compute: u64 = r.per_request.iter().map(|s| s.compute_cycles).sum();
+            assert_eq!(
+                compute, r.busy_lane_cycles,
+                "{path}: backoff is not compute"
+            );
+            if executor {
+                assert!(r.retries > 0, "{path}: the scenario must retry");
+                let attempts = r.report.task_count as u64 + r.retries;
+                assert_eq!(r.report.memo_hits, 0, "{path}");
+                assert_eq!(
+                    r.report.memo_misses, attempts,
+                    "{path}: one miss per attempt"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,18 +1,18 @@
 //! Dependency-aware scheduling: FHE kernels as a task graph.
 //!
 //! Real FHE programs are DAGs — a rotation consumes the multiply that
-//! produced its input — so the flat list scheduler of
-//! [`machine`](crate::machine) over-estimates the available parallelism.
-//! This module schedules an explicit dependency graph with an
-//! event-driven list scheduler and reports the critical path, exposing
-//! when a workload stops scaling with more VPUs.
+//! produced its input — so a flat task list over-estimates the available
+//! parallelism. A [`TaskGraph`] is the request type of the shared
+//! scheduling core: [`TaskGraph::schedule`] runs one graph in submission
+//! order on memo pricing, and [`TaskGraph::critical_path_beats`] reports
+//! the critical path, exposing when a workload stops scaling with more
+//! VPUs.
 
 use crate::config::AcceleratorConfig;
 use crate::machine::AccelReport;
+use crate::sched::{self, Order, Pricing};
 use crate::workload::{premeasure_into, FheOp, ShapeMemo, Task};
 use crate::AccelError;
-use uvpu_core::stats::CycleStats;
-use uvpu_core::trace;
 
 /// A node handle in the task graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -42,6 +42,15 @@ impl TaskGraph {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.tasks.is_empty()
+    }
+
+    /// A graph of independent tasks: a flat list as one request
+    /// without edges.
+    pub(crate) fn flat(tasks: &[Task]) -> Self {
+        Self {
+            tasks: tasks.to_vec(),
+            preds: vec![Vec::new(); tasks.len()],
+        }
     }
 
     /// Adds a task depending on the given predecessors.
@@ -114,10 +123,11 @@ impl TaskGraph {
         Ok(cost.into_iter().max().unwrap_or(0))
     }
 
-    /// Event-driven list scheduling onto the machine: a task becomes
-    /// ready when all predecessors finish; ready tasks go to the
-    /// earliest-free VPU (ties by task order). NoC transfer serializes
-    /// with its own task, as in the flat scheduler.
+    /// List scheduling onto the machine: tasks dispatch in index order
+    /// (every predecessor has a lower index, so one sweep schedules
+    /// all of them) to the earliest-free VPU, and start once all
+    /// predecessors finish. NoC transfer serializes with its own task,
+    /// as for a flat task list.
     ///
     /// # Errors
     ///
@@ -140,106 +150,8 @@ impl TaskGraph {
         memo: &mut ShapeMemo,
     ) -> Result<AccelReport, AccelError> {
         config.validate()?;
-        for t in &self.tasks {
-            if t.noc_bytes > config.sram_bytes {
-                return Err(AccelError::SramOverflow {
-                    needed: t.noc_bytes,
-                    capacity: config.sram_bytes,
-                });
-            }
-        }
-        let v = config.vpu_count;
-        let n_tasks = self.tasks.len();
-        // All distinct shapes not already memoized are measured up front
-        // (in parallel when host threads are available); the event loop
-        // below replays the sequential hit/miss accounting exactly.
-        premeasure_into(&self.tasks, config.lanes, memo)?;
-        let mut first_seen: std::collections::HashSet<(crate::workload::TaskKind, usize)> =
-            std::collections::HashSet::new();
-        let mut finish = vec![u64::MAX; n_tasks];
-        let mut scheduled = vec![false; n_tasks];
-        let mut vpu_free = vec![0u64; v];
-        let mut vpu_busy = vec![0u64; v];
-        let mut agg = CycleStats::new();
-        let mut noc_cycles = 0u64;
-        let mut traffic = 0u64;
-        let mut memo_hits = 0u64;
-        let mut memo_misses = 0u64;
-        let tracing = trace::global_enabled();
-        if tracing {
-            // Same per-slot `accel.batch` parent as the flat scheduler,
-            // so DAG schedules produce the same tree-path grammar.
-            for slot in 0..v {
-                trace::global_span_begin_at(slot as u32, "accel.batch", 0);
-            }
-        }
-        let mut remaining = n_tasks;
-        while remaining > 0 {
-            let mut progressed = false;
-            for i in 0..n_tasks {
-                if scheduled[i] {
-                    continue;
-                }
-                if self.preds[i].iter().any(|&p| finish[p] == u64::MAX) {
-                    continue;
-                }
-                let ready_at = self.preds[i].iter().map(|&p| finish[p]).max().unwrap_or(0);
-                let task = &self.tasks[i];
-                if first_seen.insert((task.kind, task.n)) {
-                    memo_misses += 1;
-                } else {
-                    memo_hits += 1;
-                }
-                let stats = memo[&(task.kind, task.n)];
-                // `vpu_count >= 1` is validated in config, so the fold
-                // always sees a candidate; 0 is unreachable.
-                let slot = vpu_free
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|&(_, &t)| t)
-                    .map_or(0, |(i, _)| i);
-                let hops = slot % (v / 2 + 1) + 1;
-                let transfer = task.noc_bytes.div_ceil(config.noc_bytes_per_cycle) as u64
-                    + config.noc_hop_latency * hops as u64;
-                let start = vpu_free[slot].max(ready_at);
-                let end = start + transfer + stats.total();
-                if tracing {
-                    let track = slot as u32;
-                    trace::global_span_at(track, "noc.transfer", start, start + transfer);
-                    trace::global_span_at(
-                        track,
-                        &format!("task.{} n={}", task.kind.name(), task.n),
-                        start + transfer,
-                        end,
-                    );
-                }
-                vpu_free[slot] = end;
-                vpu_busy[slot] += stats.total();
-                finish[i] = end;
-                scheduled[i] = true;
-                agg += stats;
-                noc_cycles += transfer;
-                traffic += task.noc_bytes as u64;
-                remaining -= 1;
-                progressed = true;
-            }
-            assert!(progressed, "cycle in task graph");
-        }
-        if tracing {
-            for (slot, &free_at) in vpu_free.iter().enumerate() {
-                trace::global_span_end_at(slot as u32, "accel.batch", free_at);
-            }
-        }
-        Ok(AccelReport {
-            makespan: finish.into_iter().max().unwrap_or(0),
-            vpu_busy,
-            vpu_stats: agg,
-            noc_cycles,
-            sram_traffic_bytes: traffic,
-            task_count: n_tasks,
-            memo_hits,
-            memo_misses,
-        })
+        let (batch, _) = sched::run(config, &[self], Order::Submission, Pricing::Memo(memo))?;
+        Ok(batch.report)
     }
 }
 

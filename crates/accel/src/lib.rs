@@ -6,13 +6,17 @@
 //! - [`workload`]: homomorphic operations lowered to per-residue vector
 //!   tasks, each *measured* by executing it on the bit-exact VPU
 //!   simulator from [`uvpu_core`];
-//! - [`machine`]: the list scheduler + NoC/SRAM accounting producing a
-//!   makespan report;
-//! - [`graph`]: dependency-aware DAG scheduling with critical-path
-//!   analysis, plus a bootstrapping-shaped trace generator;
-//! - [`batch`]: the cross-request throughput executor — shape-coalesced
-//!   waves over many independent request DAGs, with RNS limbs sharded
-//!   across VPU slots and shared twiddle/key streams fetched once.
+//! - [`machine`] (flat task lists), [`graph`] (dependency graphs, with
+//!   critical-path analysis), [`recovery`] (fault-detecting executors
+//!   under retry/quarantine) and [`batch`] (shape-coalesced waves over
+//!   many requests, RNS limbs sharded across VPU slots, shared
+//!   twiddle/key streams fetched once): the scheduling entry points.
+//!
+//! Every entry point is a few-line wrapper over one crate-private list
+//! scheduler, which places each task on the earliest-free healthy VPU
+//! slot. The entry point fixes its three parameters: the requests
+//! (task graphs), the order (waves or submission order) and the pricing
+//! (the shape memo, or an executor under a retry policy).
 //!
 //! # Example
 //!
@@ -41,6 +45,7 @@ pub mod config;
 pub mod graph;
 pub mod machine;
 pub mod recovery;
+mod sched;
 pub mod workload;
 
 use std::fmt;

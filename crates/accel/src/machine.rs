@@ -1,12 +1,15 @@
 //! The accelerator machine model: VPUs, a ring NoC, global SRAM, and a
-//! list scheduler (paper Fig 1(a)).
+//! list scheduler (paper Fig 1(a)). [`Accelerator::run_tasks`] is the
+//! flat entry point of the shared scheduling core: one request without
+//! edges, submission order, memo pricing.
 
 use crate::config::AcceleratorConfig;
+use crate::graph::TaskGraph;
+use crate::sched::{self, Order, Pricing};
 use crate::workload::{FheOp, Task};
 use crate::AccelError;
 use std::fmt;
 use uvpu_core::stats::CycleStats;
-use uvpu_core::trace;
 
 /// Execution report for one workload.
 #[derive(Debug, Clone, PartialEq)]
@@ -129,8 +132,7 @@ impl Accelerator {
     /// `hops` ring positions away.
     #[must_use]
     pub fn noc_cycles(&self, bytes: usize, hops: usize) -> u64 {
-        bytes.div_ceil(self.config.noc_bytes_per_cycle) as u64
-            + self.config.noc_hop_latency * hops as u64
+        sched::noc_cycles(&self.config, bytes, hops)
     }
 
     /// Runs a workload and returns the report.
@@ -173,96 +175,10 @@ impl Accelerator {
         tasks: &[Task],
         memo: &mut crate::workload::ShapeMemo,
     ) -> Result<AccelReport, AccelError> {
-        // Working-set check: the largest single task operand must fit.
-        for t in tasks {
-            if t.noc_bytes > self.config.sram_bytes {
-                return Err(AccelError::SramOverflow {
-                    needed: t.noc_bytes,
-                    capacity: self.config.sram_bytes,
-                });
-            }
-        }
-        let v = self.config.vpu_count;
-        let mut vpu_free_at = vec![0u64; v];
-        let mut vpu_busy = vec![0u64; v];
-        let mut agg = CycleStats::new();
-        let mut noc_cycles = 0u64;
-        let mut traffic = 0u64;
-        // Memoize kernel measurements: tasks of the same shape cost the
-        // same cycles (the simulator is deterministic). Shapes the
-        // caller has not already measured are filled in up front — in
-        // parallel when host threads are available — and the sweep below
-        // replays the sequential hit/miss accounting (first occurrence
-        // of a shape in this task list = miss).
-        crate::workload::premeasure_into(tasks, self.config.lanes, memo)?;
-        let mut first_seen: std::collections::HashSet<(crate::workload::TaskKind, usize)> =
-            std::collections::HashSet::new();
-        let mut memo_hits = 0u64;
-        let mut memo_misses = 0u64;
-        // With a global trace sink installed, every scheduled task emits
-        // a span on its VPU slot's track: the NoC transfer followed by
-        // the compute window, timestamped from the scheduler timeline.
-        let tracing = trace::global_enabled();
-        if tracing {
-            // One `accel.batch` parent per slot track wraps the whole
-            // schedule, so tree-building sinks key the task spans below
-            // under `accel.batch/…` and the batch end timestamp measures
-            // the slot's total occupancy.
-            for slot in 0..v {
-                trace::global_span_begin_at(slot as u32, "accel.batch", 0);
-            }
-        }
-        for task in tasks {
-            if first_seen.insert((task.kind, task.n)) {
-                memo_misses += 1;
-            } else {
-                memo_hits += 1;
-            }
-            let stats = memo[&(task.kind, task.n)];
-            // Earliest-available VPU (list scheduling). `vpu_count >= 1`
-            // is validated in config, so 0 is unreachable.
-            let slot = vpu_free_at
-                .iter()
-                .enumerate()
-                .min_by_key(|&(_, &t)| t)
-                .map_or(0, |(i, _)| i);
-            let hops = slot % (v / 2 + 1) + 1; // ring distance from the SRAM port
-            let transfer = self.noc_cycles(task.noc_bytes, hops);
-            let compute = stats.total();
-            if tracing {
-                let track = slot as u32;
-                let start = vpu_free_at[slot];
-                trace::global_span_at(track, "noc.transfer", start, start + transfer);
-                trace::global_span_at(
-                    track,
-                    // The `task.` prefix marks cycle-timestamped scheduler
-                    // spans for per-task attribution downstream.
-                    &format!("task.{} n={}", task.kind.name(), task.n),
-                    start + transfer,
-                    start + transfer + compute,
-                );
-            }
-            vpu_free_at[slot] += transfer + compute;
-            vpu_busy[slot] += compute;
-            noc_cycles += transfer;
-            traffic += task.noc_bytes as u64;
-            agg += stats;
-        }
-        if tracing {
-            for (slot, &free_at) in vpu_free_at.iter().enumerate() {
-                trace::global_span_end_at(slot as u32, "accel.batch", free_at);
-            }
-        }
-        Ok(AccelReport {
-            makespan: vpu_free_at.iter().copied().max().unwrap_or(0),
-            vpu_busy,
-            vpu_stats: agg,
-            noc_cycles,
-            sram_traffic_bytes: traffic,
-            task_count: tasks.len(),
-            memo_hits,
-            memo_misses,
-        })
+        let flat = TaskGraph::flat(tasks);
+        let pricing = Pricing::Memo(memo);
+        let (batch, _) = sched::run(&self.config, &[&flat], Order::Submission, pricing)?;
+        Ok(batch.report)
     }
 }
 

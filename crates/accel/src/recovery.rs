@@ -1,12 +1,12 @@
-//! Retry/quarantine recovery scheduling on top of the machine model.
+//! Retry/quarantine recovery: the attempt loop of the scheduling core.
 //!
-//! [`Accelerator::run_tasks`](crate::machine::Accelerator::run_tasks)
-//! assumes a fault-free datapath. This module adds the degraded-mode
-//! story: tasks are executed through a caller-supplied [`TaskExecutor`]
-//! (which may inject faults and run online detectors — see the
-//! `uvpu-fault` crate), and
+//! Every attempt runs through a [`TaskExecutor`], which may inject
+//! faults and run online detectors (see the `uvpu-fault` crate). The
+//! fault-free entry points price tasks with an executor that reads the
+//! shape memo and never detects, so all of them share this one state
+//! machine;
 //! [`run_tasks_with_recovery`](crate::machine::Accelerator::run_tasks_with_recovery)
-//! wraps the same list scheduler in a retry/quarantine state machine:
+//! is the flat entry point with a caller-supplied executor.
 //!
 //! 1. **Retry**: a detected-faulty attempt is re-executed from its input
 //!    operands on the same VPU slot, charging the NoC re-fetch, a
@@ -21,12 +21,13 @@
 //!    [`AccelError::FaultUnrecoverable`] instead of a panic or silent
 //!    corruption.
 
+use crate::graph::TaskGraph;
 use crate::machine::{AccelReport, Accelerator};
+use crate::sched::{self, Order, Pricing};
 use crate::workload::Task;
 use crate::AccelError;
 use std::fmt;
 use uvpu_core::stats::CycleStats;
-use uvpu_core::trace;
 
 /// Outcome of one execution attempt of one task, as reported by a
 /// [`TaskExecutor`].
@@ -137,8 +138,8 @@ impl fmt::Display for RecoveryReport {
 impl Accelerator {
     /// Runs an explicit task list through `exec` under `policy`,
     /// retrying detected-faulty attempts and quarantining repeatedly
-    /// faulty slots. The fault-free scheduler
-    /// ([`run_tasks`](Self::run_tasks)) is untouched by this path.
+    /// faulty slots. The fault-free [`run_tasks`](Self::run_tasks) runs
+    /// the same loop with memo pricing, which never detects.
     ///
     /// # Errors
     ///
@@ -151,134 +152,21 @@ impl Accelerator {
         exec: &mut dyn TaskExecutor,
         policy: &RetryPolicy,
     ) -> Result<RecoveryReport, AccelError> {
-        for t in tasks {
-            if t.noc_bytes > self.config().sram_bytes {
-                return Err(AccelError::SramOverflow {
-                    needed: t.noc_bytes,
-                    capacity: self.config().sram_bytes,
-                });
-            }
-        }
-        let v = self.config().vpu_count;
-        let mut vpu_free_at = vec![0u64; v];
-        let mut vpu_busy = vec![0u64; v];
-        let mut quarantined = vec![false; v];
-        let mut slot_faults = vec![0u32; v];
-        let mut agg = CycleStats::new();
-        let mut noc_cycles = 0u64;
-        let mut traffic = 0u64;
-        let mut attempts_total = 0u64;
-        let mut retries_total = 0u64;
-        let mut detected_total = 0u64;
-        let mut recovered_tasks = 0u64;
-        let mut quarantine_order = Vec::new();
-        let mut backoff_total = 0u64;
-        let mut check_total = 0u64;
-        let mut digests = Vec::with_capacity(tasks.len());
-        let tracing = trace::global_enabled();
-        if tracing {
-            // Per-slot `accel.batch` parents, as in the fault-free
-            // schedulers, so recovery runs share the tree-path grammar.
-            for slot in 0..v {
-                trace::global_span_begin_at(slot as u32, "accel.batch", 0);
-            }
-        }
-        let earliest_healthy = |free: &[u64], quarantined: &[bool]| -> usize {
-            free.iter()
-                .enumerate()
-                .filter(|&(i, _)| !quarantined[i])
-                .min_by_key(|&(_, &t)| t)
-                .map(|(i, _)| i)
-                .unwrap_or(0)
-        };
-        for (task_index, task) in tasks.iter().enumerate() {
-            let mut slot = earliest_healthy(&vpu_free_at, &quarantined);
-            let mut was_detected = false;
-            let mut done = false;
-            for attempt in 0..=policy.max_retries {
-                // A quarantine (from this task's own earlier attempt)
-                // remaps the retry to the earliest healthy slot.
-                if quarantined[slot] {
-                    slot = earliest_healthy(&vpu_free_at, &quarantined);
-                }
-                if attempt > 0 {
-                    vpu_free_at[slot] += policy.backoff_cycles;
-                    backoff_total += policy.backoff_cycles;
-                    retries_total += 1;
-                }
-                let hops = slot % (v / 2 + 1) + 1;
-                // Every attempt re-fetches the input operands from SRAM.
-                let transfer = self.noc_cycles(task.noc_bytes, hops);
-                let outcome = exec.execute(task, slot, attempt)?;
-                let compute = outcome.stats.total() + outcome.check_cycles;
-                if tracing {
-                    let track = slot as u32;
-                    let start = vpu_free_at[slot];
-                    trace::global_span_at(track, "noc.transfer", start, start + transfer);
-                    let label = if attempt == 0 { "task" } else { "retry" };
-                    trace::global_span_at(
-                        track,
-                        &format!("{label}.{} n={}", task.kind.name(), task.n),
-                        start + transfer,
-                        start + transfer + compute,
-                    );
-                }
-                vpu_free_at[slot] += transfer + compute;
-                vpu_busy[slot] += compute;
-                noc_cycles += transfer;
-                traffic += task.noc_bytes as u64;
-                agg += outcome.stats;
-                attempts_total += 1;
-                check_total += outcome.check_cycles;
-                if outcome.detected {
-                    was_detected = true;
-                    detected_total += 1;
-                    slot_faults[slot] += 1;
-                    let healthy = quarantined.iter().filter(|&&q| !q).count();
-                    if slot_faults[slot] >= policy.quarantine_threshold && healthy > 1 {
-                        quarantined[slot] = true;
-                        quarantine_order.push(slot);
-                    }
-                } else {
-                    if was_detected {
-                        recovered_tasks += 1;
-                    }
-                    digests.push(outcome.digest);
-                    done = true;
-                    break;
-                }
-            }
-            if !done {
-                return Err(AccelError::FaultUnrecoverable {
-                    task_index,
-                    attempts: policy.max_retries + 1,
-                });
-            }
-        }
-        if tracing {
-            for (slot, &free_at) in vpu_free_at.iter().enumerate() {
-                trace::global_span_end_at(slot as u32, "accel.batch", free_at);
-            }
-        }
+        let flat = TaskGraph::flat(tasks);
+        let pricing = Pricing::Executor(exec, policy);
+        let (mut batch, recovered_tasks) =
+            sched::run(self.config(), &[&flat], Order::Submission, pricing)?;
         Ok(RecoveryReport {
-            report: AccelReport {
-                makespan: vpu_free_at.iter().copied().max().unwrap_or(0),
-                vpu_busy,
-                vpu_stats: agg,
-                noc_cycles,
-                sram_traffic_bytes: traffic,
-                task_count: tasks.len(),
-                memo_hits: 0,
-                memo_misses: attempts_total,
-            },
-            attempts: attempts_total,
-            retries: retries_total,
-            detected_faults: detected_total,
+            attempts: batch.report.task_count as u64 + batch.retries,
+            retries: batch.retries,
+            detected_faults: batch.detected_faults,
             recovered_tasks,
-            quarantined_slots: quarantine_order,
-            backoff_cycles: backoff_total,
-            check_cycles: check_total,
-            task_digests: digests,
+            quarantined_slots: batch.quarantined_slots,
+            backoff_cycles: batch.retries * policy.backoff_cycles,
+            // Lane-busy cycles beyond the pipeline's are detector cycles.
+            check_cycles: batch.busy_lane_cycles - batch.report.vpu_stats.total(),
+            task_digests: std::mem::take(&mut batch.per_request[0].task_digests),
+            report: batch.report,
         })
     }
 }

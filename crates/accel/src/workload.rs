@@ -101,99 +101,49 @@ impl FheOp {
     ///   pipeline as `HMult`'s relinearization.
     #[must_use]
     pub fn lower(&self) -> Vec<Task> {
-        let poly_bytes = |n: usize| n * 8;
+        use TaskKind::{Automorphism, Elementwise, Ntt};
+        // A task over ring degree `n` moving `polys` polynomials of
+        // 8-byte words over the NoC.
+        let task = |kind, n: usize, polys: usize| Task {
+            kind,
+            n,
+            noc_bytes: polys * n * 8,
+        };
+        let ewise = |passes| Elementwise { passes };
         match *self {
-            FheOp::HAdd { n, limbs } => (0..2 * limbs)
-                .map(|_| Task {
-                    kind: TaskKind::Elementwise { passes: 1 },
-                    n,
-                    noc_bytes: 3 * poly_bytes(n), // two reads + one write
-                })
-                .collect(),
+            // Two reads + one write per pass.
+            FheOp::HAdd { n, limbs } => vec![task(ewise(1), n, 3); 2 * limbs],
             FheOp::HMult { n, limbs } => {
                 let mut tasks = Vec::new();
                 for _ in 0..limbs {
-                    // Forward NTTs of the four input polynomials.
-                    for _ in 0..4 {
-                        tasks.push(Task {
-                            kind: TaskKind::Ntt,
-                            n,
-                            noc_bytes: 2 * poly_bytes(n),
-                        });
-                    }
-                    // Tensor product (d0, d1, d2).
-                    tasks.push(Task {
-                        kind: TaskKind::Elementwise { passes: 3 },
-                        n,
-                        noc_bytes: 3 * poly_bytes(n),
-                    });
+                    // Forward NTTs of the four input polynomials, then
+                    // the tensor product (d0, d1, d2).
+                    tasks.extend([task(Ntt, n, 2); 4]);
+                    tasks.push(task(ewise(3), n, 3));
                     // Keyswitch: one digit NTT + two key-product
                     // accumulations per digit.
                     for _ in 0..limbs {
-                        tasks.push(Task {
-                            kind: TaskKind::Ntt,
-                            n,
-                            noc_bytes: 2 * poly_bytes(n),
-                        });
-                        tasks.push(Task {
-                            kind: TaskKind::Elementwise { passes: 2 },
-                            n,
-                            noc_bytes: 3 * poly_bytes(n),
-                        });
+                        tasks.extend([task(Ntt, n, 2), task(ewise(2), n, 3)]);
                     }
                     // Back to coefficients + rescale.
-                    for _ in 0..2 {
-                        tasks.push(Task {
-                            kind: TaskKind::Ntt,
-                            n,
-                            noc_bytes: 2 * poly_bytes(n),
-                        });
-                    }
-                    tasks.push(Task {
-                        kind: TaskKind::Elementwise { passes: 2 },
-                        n,
-                        noc_bytes: 2 * poly_bytes(n),
-                    });
+                    tasks.extend([task(Ntt, n, 2), task(Ntt, n, 2), task(ewise(2), n, 2)]);
                 }
                 tasks
             }
             FheOp::HRot { n, limbs } => {
                 let mut tasks = Vec::new();
                 for _ in 0..limbs {
-                    // Automorphism on both ciphertext polynomials.
-                    for _ in 0..2 {
-                        tasks.push(Task {
-                            kind: TaskKind::Automorphism,
-                            n,
-                            noc_bytes: 2 * poly_bytes(n),
-                        });
-                    }
-                    // Keyswitch pipeline, as in HMult.
+                    // Automorphism on both ciphertext polynomials, then
+                    // the keyswitch pipeline, as in HMult.
+                    tasks.extend([task(Automorphism, n, 2); 2]);
                     for _ in 0..limbs {
-                        tasks.push(Task {
-                            kind: TaskKind::Ntt,
-                            n,
-                            noc_bytes: 2 * poly_bytes(n),
-                        });
-                        tasks.push(Task {
-                            kind: TaskKind::Elementwise { passes: 2 },
-                            n,
-                            noc_bytes: 3 * poly_bytes(n),
-                        });
+                        tasks.extend([task(Ntt, n, 2), task(ewise(2), n, 3)]);
                     }
                 }
                 tasks
             }
-            FheOp::Ntt { n } => vec![Task {
-                kind: TaskKind::Ntt,
-                n,
-                noc_bytes: 2 * poly_bytes(n),
-            }],
-            FheOp::Automorphism { n } => vec![Task {
-                kind: TaskKind::Automorphism,
-                n,
-                noc_bytes: 2 * poly_bytes(n),
-            }],
+            FheOp::Ntt { n } => vec![task(Ntt, n, 2)],
+            FheOp::Automorphism { n } => vec![task(Automorphism, n, 2)],
         }
     }
 }
@@ -276,11 +226,21 @@ pub fn premeasure_into(
     lanes: usize,
     memo: &mut ShapeMemo,
 ) -> Result<(), AccelError> {
+    premeasure_distinct(tasks, lanes, memo).map(|_| ())
+}
+
+/// [`premeasure_into`], returning the number of distinct shapes in
+/// `tasks` — the memo misses of a call that prices them from the memo.
+pub(crate) fn premeasure_distinct<'a>(
+    tasks: impl IntoIterator<Item = &'a Task>,
+    lanes: usize,
+    memo: &mut ShapeMemo,
+) -> Result<u64, AccelError> {
     let mut shapes: Vec<(TaskKind, usize)> = Vec::new();
     let mut seen = std::collections::HashSet::new();
     for t in tasks {
         let shape = (t.kind, t.n);
-        if !memo.contains_key(&shape) && seen.insert(shape) {
+        if seen.insert(shape) && !memo.contains_key(&shape) {
             shapes.push(shape);
         }
     }
@@ -298,7 +258,7 @@ pub fn premeasure_into(
     for (shape, result) in shapes.into_iter().zip(measured) {
         memo.insert(shape, result?);
     }
-    Ok(())
+    Ok(seen.len() as u64)
 }
 
 /// Measures one task's VPU cycle cost by actually executing the kernel on

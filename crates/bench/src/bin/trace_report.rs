@@ -7,7 +7,7 @@
 //! totals reconstructed purely from trace events are bit-identical to
 //! the VPU's own [`CycleStats`] accounting.
 //!
-//! Usage: `cargo run --release --bin trace_report -- [--threads N] [--bench] [--json PATH] [OUTPUT.json]`
+//! Usage: `cargo run --release --bin trace_report -- [--threads N] [--json PATH] [OUTPUT.json]`
 //! (default output: `uvpu_trace.json`; open it in `ui.perfetto.dev` or
 //! `chrome://tracing`).
 //!
@@ -19,22 +19,7 @@
 //! `--threads N` pins the `uvpu-par` host worker pool to `N` threads
 //! (overriding `UVPU_THREADS` and the detected core count). Results are
 //! bit-identical for any thread count; only the wall-clock changes.
-//!
-//! `--bench` skips the report and instead times the data-parallel CKKS
-//! hot path (N = 2^13, 5 RNS limbs: multiply + relinearize + rescale),
-//! printing one machine-readable line consumed by `scripts/bench_par.sh`:
-//!
-//! ```text
-//! BENCH workload=ckks_mul_rescale n=8192 limbs=5 threads=4 wall_ms=812.4 digest=5f9e... cycles=12345
-//! ```
-//!
-//! `digest` is an order-sensitive FNV-1a hash over every residue
-//! coefficient of the resulting ciphertext — equal digests across
-//! `--threads` values prove bit-exactness. `cycles` is the traced
-//! single-VPU cost of the matching NTT at the same ring degree, which
-//! must also be thread-invariant.
 
-use std::time::Instant;
 use uvpu_accel::config::AcceleratorConfig;
 use uvpu_accel::machine::Accelerator;
 use uvpu_accel::workload::FheOp;
@@ -77,99 +62,9 @@ fn breakdown_row(name: &str, stats: &CycleStats) -> String {
     )
 }
 
-/// Order-sensitive FNV-1a over every residue coefficient of a CKKS
-/// ciphertext: any single differing word changes the digest.
-fn ciphertext_digest(ct: &uvpu_ckks::ciphertext::Ciphertext) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for part in &ct.parts {
-        for i in 0..=part.level() {
-            for &c in part.residue(i).coeffs() {
-                h ^= c;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-    }
-    h
-}
-
-/// Times the data-parallel CKKS hot path and prints the BENCH line.
-fn run_bench() {
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use uvpu_ckks::encoder::{Encoder, C64};
-    use uvpu_ckks::keys::KeyGenerator;
-    use uvpu_ckks::ops::Evaluator;
-    use uvpu_ckks::params::{CkksContext, CkksParams};
-
-    let threads = uvpu_par::max_threads();
-    let n = 1usize << 13;
-    let levels = 4; // 5 RNS limbs at the top level
-    let ctx = CkksContext::new(CkksParams::new(n, levels, 40).expect("params")).expect("context");
-    let enc = Encoder::new(&ctx);
-    let mut kg = KeyGenerator::new(&ctx, StdRng::seed_from_u64(7));
-    let sk = kg.secret_key();
-    let pk = kg.public_key(&sk).expect("pk");
-    let rlk = kg.relin_key(&sk).expect("rlk");
-    let eval = Evaluator::new(&ctx);
-    let mut rng = StdRng::seed_from_u64(8);
-    let x: Vec<C64> = (0..ctx.params().slot_count())
-        .map(|j| C64::from(1.0 + j as f64 * 1e-4))
-        .collect();
-    let ct = eval
-        .encrypt(
-            &pk,
-            &enc.encode(&ctx, levels, &x).expect("encode"),
-            &mut rng,
-        )
-        .expect("encrypt");
-
-    // Warm the plan caches (NTT tables are built on context creation,
-    // but first-use twiddle work should not skew the timed loop).
-    let _ = eval
-        .rescale(&eval.mul(&ct, &ct, &rlk).expect("mul"))
-        .expect("rescale");
-
-    let iters = 5u32;
-    let start = Instant::now();
-    let mut last = None;
-    for _ in 0..iters {
-        last = Some(
-            eval.rescale(&eval.mul(&ct, &ct, &rlk).expect("mul"))
-                .expect("rescale"),
-        );
-    }
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    let digest = ciphertext_digest(&last.expect("at least one iteration"));
-
-    // Thread-invariant cycle accounting: the traced single-VPU cost of
-    // the matching negacyclic NTT. Charged analytically per column, so
-    // the total must not depend on the worker count.
-    let q = Modulus::new(ntt_prime(50, n).expect("prime")).expect("modulus");
-    let counter = SyncSink::new(CounterSink::new());
-    let plan = NttPlan::cached(q, n, 64).expect("plan");
-    let mut vpu = Vpu::with_sink(64, q, 8, counter.clone()).expect("vpu");
-    let data: Vec<u64> = (0..n as u64).collect();
-    let run = plan
-        .execute_forward_negacyclic(&mut vpu, &data)
-        .expect("ntt run");
-    let traced = counter.with(|c| *c.running());
-    assert_eq!(
-        traced, run.stats,
-        "trace-derived cycle totals must be bit-identical to CycleStats"
-    );
-
-    println!(
-        "BENCH workload=ckks_mul_rescale n={n} limbs={} threads={threads} \
-         wall_ms={wall_ms:.1} digest={digest:016x} cycles={}",
-        levels + 1,
-        run.stats.total()
-    );
-}
-
 fn main() {
     let mut out_path = "uvpu_trace.json".to_string();
     let mut json_path: Option<String> = None;
-    let mut bench = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -181,14 +76,9 @@ fn main() {
                     .expect("--threads takes a positive integer");
                 uvpu_par::set_thread_override(Some(t));
             }
-            "--bench" => bench = true,
             "--json" => json_path = Some(args.next().expect("--json needs a path")),
             other => out_path = other.to_string(),
         }
-    }
-    if bench {
-        run_bench();
-        return;
     }
     let m = 64usize;
     let log_n = 12u32;

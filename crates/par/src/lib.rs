@@ -639,27 +639,33 @@ mod tests {
     fn with_threads_is_reentrant_on_the_same_thread() {
         // A nested frame must not deadlock on the serialization lock,
         // must see its own count, and must restore the outer count (and
-        // finally the pre-existing override) on unwind.
-        set_thread_override(Some(3));
-        let (outer_before, inner, outer_after) = with_threads(5, || {
-            let before = max_threads();
-            let inner = with_threads(2, || with_threads(6, max_threads).min(max_threads()));
-            (before, inner, max_threads())
+        // finally the pre-existing override) on unwind. The enclosing
+        // frame holds the lock, so the bare override below cannot race
+        // other tests, and restores the override on exit.
+        with_threads(1, || {
+            set_thread_override(Some(3));
+            let (outer_before, inner, outer_after) = with_threads(5, || {
+                let before = max_threads();
+                let inner = with_threads(2, || with_threads(6, max_threads).min(max_threads()));
+                (before, inner, max_threads())
+            });
+            assert_eq!(outer_before, 5);
+            assert_eq!(inner, 2, "doubly-nested frame restores its parent");
+            assert_eq!(outer_after, 5, "nested frame restores the outer count");
+            assert_eq!(max_threads(), 3, "nested frame restores the override");
         });
-        assert_eq!(outer_before, 5);
-        assert_eq!(inner, 2, "doubly-nested frame restores its parent");
-        assert_eq!(outer_after, 5, "nested frame restores the outer count");
-        assert_eq!(max_threads(), 3, "outermost frame restores the override");
-        set_thread_override(None);
     }
 
     #[test]
     fn with_threads_restores_previous_override() {
-        set_thread_override(Some(3));
-        let inner = with_threads(7, max_threads);
-        assert_eq!(inner, 7);
-        assert_eq!(max_threads(), 3);
-        set_thread_override(None);
+        // The enclosing frame serializes the bare override against other
+        // tests and restores it on exit.
+        with_threads(1, || {
+            set_thread_override(Some(3));
+            let inner = with_threads(7, max_threads);
+            assert_eq!(inner, 7);
+            assert_eq!(max_threads(), 3);
+        });
     }
 
     #[test]

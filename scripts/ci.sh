@@ -8,6 +8,10 @@ set -eu
 cd "$(dirname "$0")/.."
 
 cargo build --workspace --release --offline
+# The repository benchmark (BENCHMARK.json) is a separate workspace over
+# the public crate APIs; build it as benchmark/run.sh does, so a change
+# that breaks its use of those APIs fails here.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
 UVPU_THREADS=1 cargo test --workspace -q --offline
 UVPU_THREADS=4 cargo test --workspace -q --offline
 cargo fmt --all --check
